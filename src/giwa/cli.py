@@ -7,7 +7,7 @@
 
 Exit codes: 0 all identities verified, 1 verification failure,
 2 input/validation error, 3 resource or precision exhaustion.
-GIWA_VERTEX_CAP overrides the 1000-vertex level-graph cap.
+GIWA_VERTEX_CAP overrides the 1000-vertex cap on the tower levels computed.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ from .errors import (DisconnectedError, GiwaError, PrecisionError,
                      ResourceLimitError, UnsupportedError, ValidationError)
 from .graphs import bouquet, euler_characteristic, is_connected
 from .groups import cyclic, dihedral_8, product
-from .iwasawa import (NotStabilizedError, characteristic_series,
-                      fit_iwasawa, format_factorization, iwasawa_invariants,
+from .iwasawa import (DEFAULT_VERTEX_CAP, NotStabilizedError,
+                      characteristic_series, decimal_string, fit_iwasawa,
+                      format_factorization, iwasawa_invariants,
                       kappa_ord_sequence, kida_verify, lift_tower, tower,
                       uniform_tower_check)
 from .lfunctions import (artin_product_check, class_number_check, hashimoto_check,
@@ -35,7 +36,7 @@ from .voltage import derived_graph
 def vertex_cap() -> int:
     raw = os.environ.get("GIWA_VERTEX_CAP")
     if raw is None:
-        return 1000
+        return DEFAULT_VERTEX_CAP
     try:
         return int(raw)
     except ValueError:
@@ -94,7 +95,7 @@ def cmd_invariants(args) -> int:
     rows = []
     for n, kappa, ordk, fac in seq:
         row = {"n": n, "vertices": t.graph.vertex_count * t.ell ** n,
-               "ord": ordk, "kappa": str(kappa)}
+               "ord": ordk, "kappa": decimal_string(kappa)}
         if fac is not None:
             row["factorization"] = format_factorization(fac)
         rows.append(row)

@@ -41,6 +41,7 @@ def _poly_divmod_exact(num: list, den: list) -> tuple:
     num = num[:]
     q = [0] * max(0, len(num) - len(den) + 1)
     lead = den[-1]
+    terms = [(j, d) for j, d in enumerate(den) if d]
     for i in range(len(num) - len(den), -1, -1):
         c = num[i + len(den) - 1]
         if c == 0:
@@ -49,7 +50,7 @@ def _poly_divmod_exact(num: list, den: list) -> tuple:
             raise ValidationError("non-exact polynomial division")
         f = c // lead
         q[i] = f
-        for j, d in enumerate(den):
+        for j, d in terms:
             num[i + j] -= f * d
     return q, _poly_trim(num)
 
@@ -193,17 +194,35 @@ class CyclotomicElement:
         from math import gcd
         return [self.conjugate(j) for j in range(1, self.m + 1) if gcd(j, self.m) == 1]
 
-    def inverse_conjugate(self) -> "CyclotomicElement":
-        return self.conjugate(self.m - 1) if self.m > 1 else self
-
     def norm(self) -> int:
-        """Product of all Galois conjugates; always a rational integer."""
-        prod = CyclotomicElement.from_int(self.m, 1)
-        for c in self.conjugates():
+        """Product of all Galois conjugates; always a rational integer.
+
+        Taken as a chain of relative norms.  While p^2 divides the conductor
+        m, the product of the p conjugates zeta -> zeta^(1 + j m/p) lies in
+        Z[zeta^p] = Z[zeta_(m/p)], whose power basis is every p-th coordinate
+        (Phi_m(x) = Phi_(m/p)(x^p)).  Only at the squarefree conductor left at
+        the end is the full conjugate product taken.
+        """
+        x = self
+        for p in _prime_divisors(self.m):
+            while x.m % (p * p) == 0:
+                x = x._relative_norm(p)
+        prod = CyclotomicElement.from_int(x.m, 1)
+        for c in x.conjugates():
             prod = prod * c
         if not prod.is_rational_integer():
             raise ValidationError("norm did not land in the integers")
         return prod.coords[0] if prod.coords else 0
+
+    def _relative_norm(self, p: int) -> "CyclotomicElement":
+        """Norm from Q(zeta_m) down to Q(zeta_(m/p)), for p^2 dividing m."""
+        step = self.m // p
+        prod = self
+        for j in range(1, p):
+            prod = prod * self.conjugate(1 + j * step)
+        if any(c for i, c in enumerate(prod.coords) if i % p):
+            raise ValidationError("relative norm did not land in Z[zeta^p]")
+        return CyclotomicElement(step, prod.coords[::p])
 
     def is_rational_integer(self) -> bool:
         return all(c == 0 for c in self.coords[1:])
@@ -242,6 +261,20 @@ def _reduce_mod_phi(coeffs: list, m: int) -> list:
     return rem
 
 
+def _prime_divisors(m: int) -> list:
+    out = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        out.append(m)
+    return out
+
+
 def _prime_power_exponent(m: int, ell: int) -> int | None:
     """k with m = ell^k, or None.  m = 1 counts as the 0-th power."""
     if m == 1:
@@ -255,10 +288,6 @@ def _prime_power_exponent(m: int, ell: int) -> int | None:
 
 def zeta(m: int, power: int = 1) -> CyclotomicElement:
     return CyclotomicElement.zeta(m, power)
-
-
-def cyclo_int(m: int, n: int) -> CyclotomicElement:
-    return CyclotomicElement.from_int(m, n)
 
 
 def t_psi(m: int, power: int = 1) -> CyclotomicElement:

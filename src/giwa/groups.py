@@ -16,6 +16,17 @@ from .errors import ResourceLimitError, UnsupportedError, ValidationError
 DEFAULT_ENUMERATION_CAP = 200_000
 
 
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            return False
+        p += 1 if p == 2 else 2
+    return True
+
+
 @dataclass(frozen=True)
 class FiniteGroup:
     name: str
@@ -239,9 +250,9 @@ class SL2Quotient:
 
 def sl2_level_quotient(ell: int, level: int,
                        cap: int = DEFAULT_ENUMERATION_CAP) -> SL2Quotient:
-    if ell == 2 or ell < 2 or any(ell % p == 0 for p in range(2, min(ell, 1000)) if p * p <= ell):
-        if ell == 2:
-            raise UnsupportedError("ell = 2 is not supported for the SL2 congruence quotient")
+    if ell == 2:
+        raise UnsupportedError("ell = 2 is not supported for the SL2 congruence quotient")
+    if not _is_prime(ell):
         raise ValidationError(f"ell must be an odd prime, got {ell}")
     if level < 0:
         raise ValidationError("level must be >= 0")

@@ -18,6 +18,7 @@ adaptive cap growth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 from .characters import Character, all_characters
@@ -26,7 +27,7 @@ from .errors import (DisconnectedError, GiwaError, PrecisionError,
                      ResourceLimitError, UnsupportedError, ValidationError)
 from .graphs import (Multigraph, Orientation, bareiss_determinant,
                      euler_characteristic, is_connected, spanning_tree_count)
-from .groups import FiniteGroup, cyclic, product
+from .groups import FiniteGroup, _is_prime, cyclic, product
 from .polys import interpolate_at_integers
 from .series import (PadicTruncated, TruncatedPowerSeries, binomial_series,
                      mu_lambda, ord_int, ring_determinant)
@@ -42,17 +43,6 @@ class NotStabilizedError(GiwaError):
     """The valuation sequence has no 3-point suffix fitting mu*ell^n + lambda*n + nu."""
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1 if p == 2 else 2
-    return True
-
-
 @dataclass(frozen=True)
 class Tower:
     """A base graph with a voltage into the ell-adic integers.
@@ -60,14 +50,17 @@ class Tower:
     Level n of the tower is the derived graph of the voltage reduced mod
     ell^n.  The base must have nonzero Euler characteristic; connectedness
     of the levels is certified separately (see certify_levels_connected).
+    The voltages are a read-only copy, since the tower caches its Laurent
+    determinant P and its pullbacks (see _tower_p and lift_tower).
     """
 
     graph: Multigraph
     orientation: Orientation
     ell: int
-    values: dict = field(repr=False)   # orientation edge index -> int | PadicTruncated
+    values: Mapping = field(repr=False)   # orientation edge index -> int | PadicTruncated
 
     def __post_init__(self):
+        object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
         if not _is_prime(self.ell):
             raise ValidationError(f"ell must be a prime, got {self.ell}")
         if euler_characteristic(self.graph) == 0:
@@ -131,12 +124,16 @@ def tower_level(t: Tower, n: int) -> DerivedGraph:
     va = level_assignment(t, n)
     dg = derived_graph(va)
     if n > 0:
-        ok, generated = voltage_connectedness(va)
-        if not ok:
-            raise DisconnectedError(
-                f"level {n} is disconnected: voltages generate a subgroup of order "
-                f"{len(generated)} inside Z/{t.ell}^{n}")
+        _require_level_connected(t, va, n)
     return dg
+
+
+def _require_level_connected(t: Tower, va: VoltageAssignment, n: int) -> None:
+    ok, generated = voltage_connectedness(va)
+    if not ok:
+        raise DisconnectedError(
+            f"level {n} is disconnected: voltages generate a subgroup of order "
+            f"{len(generated)} inside Z/{t.ell}^{n}")
 
 
 def certify_levels_connected(t: Tower) -> bool:
@@ -154,14 +151,14 @@ def certify_levels_connected(t: Tower) -> bool:
 # Characteristic series
 
 
-def _laurent_matrix(t: Tower) -> list:
+def _laurent_matrix(t: Tower, values: Mapping) -> list:
     """Entries of D - A_rho as integer Laurent polynomials {exp: coeff} in u."""
     g = t.graph.vertex_count
     ent = [[dict() for _ in range(g)] for _ in range(g)]
     val = [0] * g
     for s in t.orientation:
         i, j = t.graph.origin[s], t.graph.terminus[s]
-        a = t.values[s]
+        a = values[s]
         val[i] += 1
         val[j] += 1
         ent[i][j][a] = ent[i][j].get(a, 0) - 1
@@ -190,6 +187,13 @@ class LaurentDeterminant:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
+
+    def at_root_of_unity(self, m: int) -> CyclotomicElement:
+        """det L(zeta_m) = P(zeta_m) / zeta_m^K, read in Z[zeta_m]."""
+        folded = [0] * m
+        for d, c in enumerate(self.coeffs):
+            folded[(d - self.shift) % m] += c
+        return CyclotomicElement(m, folded)
 
     def mu(self, ell: int) -> int:
         if self.is_zero():
@@ -221,8 +225,22 @@ class LaurentDeterminant:
         return mult
 
 
-def _laurent_determinant(t: Tower) -> LaurentDeterminant:
-    ent = _laurent_matrix(t)
+def _laurent_determinant(t: Tower, n: int | None = None) -> LaurentDeterminant:
+    """P of the tower's voltages, or with n, of the voltages reduced into
+    (-ell^n/2, ell^n/2].  The second gives the same det L(zeta) =
+    P(zeta)/zeta^K at every ell^n-th root of unity, is never of larger
+    degree, and needs only the voltages mod ell^n, so truncated voltages
+    have one too.
+    """
+    if n is None:
+        values = t.values
+    else:
+        mod = t.ell ** n
+        values = {}
+        for d in t.orientation:
+            r = t.value_mod(d, n)
+            values[d] = r - mod if 2 * r > mod else r
+    ent = _laurent_matrix(t, values)
     g = t.graph.vertex_count
     shift = 0
     degbound = 0
@@ -255,6 +273,15 @@ def _laurent_determinant(t: Tower) -> LaurentDeterminant:
     return LaurentDeterminant(coeffs=tuple(coeffs), shift=shift)
 
 
+def _tower_p(t: Tower) -> LaurentDeterminant:
+    """The exact tower's P, built on first use and kept on the instance."""
+    got = getattr(t, "_p", None)
+    if got is None:
+        got = _laurent_determinant(t)
+        object.__setattr__(t, "_p", got)
+    return got
+
+
 def _assert_vanishes_at_origin(ld: LaurentDeterminant) -> None:
     # the constant term of f is P(1), which is det of a Laplacian, hence 0
     assert sum(ld.coeffs) == 0, "characteristic series must vanish at T = 0"
@@ -268,7 +295,7 @@ def characteristic_series(t: Tower, cap: int = DEFAULT_CAP) -> TruncatedPowerSer
     determinant.
     """
     if t.exact:
-        ld = _laurent_determinant(t)
+        ld = _tower_p(t)
         if not ld.is_zero():
             _assert_vanishes_at_origin(ld)
         return ld.series(cap)
@@ -334,7 +361,7 @@ def iwasawa_invariants(t: Tower, cap: int = DEFAULT_CAP,
         raise DisconnectedError(
             "tower levels are disconnected; invariants are undefined")
     if t.exact:
-        ld = _laurent_determinant(t)
+        ld = _tower_p(t)
         if ld.is_zero():
             raise ValidationError(
                 "characteristic series is identically zero (degenerate voltage)")
@@ -361,24 +388,47 @@ def iwasawa_invariants(t: Tower, cap: int = DEFAULT_CAP,
 
 def kappa_ord_sequence(t: Tower, n_max: int, factor: bool = False,
                        vertex_cap: int = DEFAULT_VERTEX_CAP) -> list:
-    """[(n, kappa_n or None, ord_ell(kappa_n), factorization or None)] for n = 0..n_max.
+    """[(n, kappa_n, ord_ell(kappa_n), factorization or None)] for n = 0..n_max.
 
-    kappa is computed by the matrix-tree theorem on each level graph; levels
-    whose vertex count would exceed the cap raise a resource error.
+    The Laplacian of level n splits over the characters of Z/ell^n, which
+    gives the class number formula
+
+        ell^n kappa_n = kappa_0 * prod_(k=1..n) Norm(det L(zeta_(ell^k))),
+
+    with det L(zeta) = P(zeta) / zeta^K.  So kappa_n = kappa_(n-1) * N_n / ell,
+    where N_n is the norm from Z[zeta_(ell^n)] of P folded mod x^(ell^n) - 1
+    and shifted by K.  P is the tower's cached P when it has one (see
+    _tower_p); otherwise it is the P of the voltages reduced into
+    (-ell^n_max/2, ell^n_max/2], which has the same values at the roots of
+    unity used and also exists for truncated voltages.  kappa_0 is the
+    matrix-tree count of the base.  No level graph is built, but levels
+    whose vertex count would exceed the cap are still refused with a
+    resource error.
     """
-    out = []
     for n in range(n_max + 1):
         n_vertices = t.graph.vertex_count * t.ell ** n
         if n_vertices > vertex_cap:
             raise ResourceLimitError(
                 f"level {n} has {n_vertices} vertices, over the cap {vertex_cap} "
                 f"(set GIWA_VERTEX_CAP to raise)")
-        dg = tower_level(t, n)
-        kappa = spanning_tree_count(dg.graph)
-        ordk = ord_int(kappa, t.ell)
-        fac = factor_integer(kappa) if factor else None
-        out.append((n, kappa, 0 if ordk is None else ordk, fac))
-    return out
+        va = level_assignment(t, n)      # PrecisionError past the voltage precision
+        if n == 1:
+            # level 1 connected certifies every level (certify_levels_connected)
+            _require_level_connected(t, va, n)
+    kappas = [spanning_tree_count(t.graph)] if n_max >= 0 else []
+    if n_max > 0:
+        ld = getattr(t, "_p", None)
+        if ld is None:
+            ld = _laurent_determinant(t, n_max)
+        for n in range(1, n_max + 1):
+            kappa, rem = divmod(kappas[-1] * ld.at_root_of_unity(t.ell ** n).norm(), t.ell)
+            if rem or kappa <= 0:
+                raise GiwaError(
+                    f"class number formula gave no positive kappa_{n} "
+                    f"(remainder {rem} mod {t.ell})")
+            kappas.append(kappa)
+    return [(n, k, ord_int(k, t.ell), factor_integer(k) if factor else None)
+            for n, k in enumerate(kappas)]
 
 
 def factor_integer(n: int, trial_limit: int = 1_000_000) -> list:
@@ -404,7 +454,24 @@ def factor_integer(n: int, trial_limit: int = 1_000_000) -> list:
 
 
 def format_factorization(factors: list) -> str:
-    return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in factors) or "1"
+    return " * ".join(f"{decimal_string(p)}^{e}" if e > 1 else decimal_string(p)
+                      for p, e in factors) or "1"
+
+
+def decimal_string(n: int) -> str:
+    """str(n) for integers of any size.
+
+    Deep kappa_n run to thousands of digits, past the interpreter's limit on
+    int-to-str conversion; splitting at a power of ten keeps every piece
+    under it without touching the limit.
+    """
+    if abs(n) < 10 ** 1000:
+        return str(n)
+    if n < 0:
+        return "-" + decimal_string(-n)
+    k = len(bin(n)) * 3 // 20          # about half the decimal digits of n
+    high, low = divmod(n, 10 ** k)
+    return decimal_string(high) + decimal_string(low).zfill(k)
 
 
 def fit_iwasawa(ords: list, start_n: int, ell: int) -> tuple:
@@ -439,13 +506,26 @@ def fit_iwasawa(ords: list, start_n: int, ell: int) -> tuple:
 
 
 def lift_tower(t: Tower, p: CoverMap) -> Tower:
-    """Pull the tower voltage back along a cover: orientation p^(-1)(S), value alpha o p."""
+    """Pull the tower voltage back along a cover: orientation p^(-1)(S), value alpha o p.
+
+    The lift is kept on t and returned again for a cover with the same
+    source graph and edge map, so the two share one cached P.
+    """
+    lifts = getattr(t, "_lifts", None)
+    if lifts is None:
+        lifts = []
+        object.__setattr__(t, "_lifts", lifts)
+    for source, edge_map, lifted in lifts:
+        if edge_map == p.edge_map and source == p.source:
+            return lifted
     chosen = set(t.orientation.edges)
     lifted = tuple(d for d in range(p.source.directed_edge_count)
                    if p.edge_map[d] in chosen)
     values = {d: t.values[p.edge_map[d]] for d in lifted}
-    return Tower(graph=p.source, orientation=Orientation(lifted),
-                 ell=t.ell, values=values)
+    out = Tower(graph=p.source, orientation=Orientation(lifted),
+                ell=t.ell, values=values)
+    lifts.append((p.source, p.edge_map, out))
+    return out
 
 
 def _is_ell_power(n: int, ell: int) -> bool:

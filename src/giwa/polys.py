@@ -119,9 +119,6 @@ class Poly:
             return Poly([0])
         return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
 
-    def map_coefficients(self, func) -> "Poly":
-        return Poly([func(c) for c in self.coeffs])
-
     def divexact(self, other: "Poly") -> "Poly":
         """Exact polynomial division (integer coefficients); raises if not exact."""
         num = list(self.coeffs)

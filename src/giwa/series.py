@@ -193,18 +193,8 @@ class TruncatedPowerSeries:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def agrees_with(self, other: "TruncatedPowerSeries", through: int) -> bool:
-        if through > min(self.cap, other.cap):
-            raise PrecisionError("comparison degree exceeds a series cap")
-        return all(self.coeffs[k] == other.coeffs[k] for k in range(through + 1))
-
     def is_zero(self) -> bool:
         return all(_coeff_is_zero(c) for c in self.coeffs)
-
-    def truncate(self, cap: int) -> "TruncatedPowerSeries":
-        if cap > self.cap:
-            raise PrecisionError("cannot extend a truncated series")
-        return TruncatedPowerSeries(self.coeffs[:cap + 1])
 
     def inverse(self) -> "TruncatedPowerSeries":
         """Multiplicative inverse; the constant term must be a unit."""
@@ -224,9 +214,6 @@ class TruncatedPowerSeries:
                 acc = acc + self.coeffs[i] * out[k - i]
             out[k] = -(b0 * acc) if isinstance(a0, int) else -(acc * b0)
         return TruncatedPowerSeries(out)
-
-    def map_coefficients(self, func) -> "TruncatedPowerSeries":
-        return TruncatedPowerSeries([func(c) for c in self.coeffs])
 
     def render(self, var: str = "T") -> str:
         parts = []

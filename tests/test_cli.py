@@ -103,6 +103,18 @@ class TestInvariantsCommand:
         payload = json.loads(first)
         assert payload["invariants"] == {"mu": 0, "lambda": 5}
 
+    def test_deep_levels_render_kappa_past_the_str_limit(self, capsys, monkeypatch):
+        # kappa_8 of ex1 has more digits than int-to-str conversion allows
+        monkeypatch.setenv("GIWA_VERTEX_CAP", "100000")
+        code = main(["invariants", spec_path("ex1_tower.json"), "--levels", "8",
+                     "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        top = payload["levels"][8]
+        assert (top["n"], top["vertices"], top["ord"]) == (8, 3 ** 8, 38)
+        assert len(top["kappa"]) > 4300 and top["kappa"].isdigit()
+        assert payload["fit"] == {"mu": 0, "lambda": 5, "nu": -2, "n0": 1}
+
     def test_factor_flag(self, capsys):
         code = main(["invariants", spec_path("ex2_tower.json"),
                      "--levels", "2", "--factor"])
@@ -169,6 +181,19 @@ class TestExamplesCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "all checks passed" in out
+
+    def test_ex1_builds_each_laurent_determinant_once(self, capsys, monkeypatch):
+        import giwa.iwasawa
+        real = giwa.iwasawa._laurent_determinant
+        built = []
+
+        def counting(t, *args):
+            built.append(t.graph.vertex_count)
+            return real(t, *args)
+
+        monkeypatch.setattr(giwa.iwasawa, "_laurent_determinant", counting)
+        assert main(["examples", "ex1"]) == 0
+        assert sorted(built) == [1, 9]       # the base and its pullback
 
     def test_unknown_example(self, capsys):
         assert main(["examples", "nope"]) == 2

@@ -87,6 +87,11 @@ class TestSL2Quotient:
         with pytest.raises(ValidationError):
             sl2_level_quotient(9, 1)
 
+    def test_composite_ell_with_large_factors_rejected(self):
+        # both factors lie above the old trial-division bound of 1000
+        with pytest.raises(ValidationError, match="odd prime"):
+            sl2_level_quotient(1009 * 1013, 0)
+
     def test_cap_enforced(self):
         with pytest.raises(ResourceLimitError):
             sl2_level_quotient(3, 5, cap=1000)

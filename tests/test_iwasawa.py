@@ -7,7 +7,7 @@ from giwa import (CyclotomicElement, DisconnectedError, NotStabilizedError,
                   characteristic_series, cyclic, dihedral_8, factorization_check,
                   fit_iwasawa, is_connected, iwasawa_invariants,
                   kappa_ord_sequence, kida_verify, lift_tower, product,
-                  tower, tower_level,
+                  Tower, tower, tower_level,
                   twisted_characteristic_series, uniform_tower_check,
                   verify_uniform_quotients, voltage_assignment)
 from giwa.characters import all_characters, trivial_character
@@ -150,6 +150,31 @@ class TestTowerLevel:
                   {"s1": 1, "s2": 1, "s3": 1, "s4": 1})
         with pytest.raises(DisconnectedError, match="subgroup of order 1"):
             tower_level(t, 1)
+
+
+class TestTowerCaches:
+    def test_values_are_read_only(self):
+        t = ex1_tower()
+        with pytest.raises(TypeError):
+            t.values[0] = 5
+
+    def test_values_are_a_copy(self):
+        values = {0: 1, 2: 2, 4: 3}
+        t = Tower(graph=bouquet(3), orientation=bouquet(3).default_orientation(),
+                  ell=3, values=values)
+        values[0] = 7
+        assert t.values[0] == 1
+
+    def test_lift_is_shared_by_equal_covers(self):
+        t = ex2_tower()
+        G = dihedral_8()
+        beta = {"s1": DIHEDRAL_ROTATION, "s2": DIHEDRAL_REFLECTION, "s3": G.identity}
+        first = lift_tower(t, derived_graph(voltage_assignment(t.graph, G, beta)).projection)
+        again = lift_tower(t, derived_graph(voltage_assignment(t.graph, G, beta)).projection)
+        assert again is first
+        other = {"s1": DIHEDRAL_REFLECTION, "s2": DIHEDRAL_ROTATION, "s3": G.identity}
+        assert lift_tower(
+            t, derived_graph(voltage_assignment(t.graph, G, other)).projection) is not first
 
 
 class TestKappaSequence:
