@@ -21,7 +21,7 @@ from .cyclotomic import CyclotomicElement, cyclotomic_polynomial, euler_phi, t_p
 from .characters import Character, all_characters, trivial_character
 from .series import (PadicTruncated, TruncatedPowerSeries, binomial_series,
                      cofactor_determinant, evaluate_at_tpsi, mu_lambda,
-                     ring_determinant)
+                     ring_determinant, truncated_determinant)
 from .polys import Poly
 from .lfunctions import (artin_product_check, class_number_check, h_of_graph,
                          h_polynomial, h_twisted, hashimoto_check,

@@ -265,7 +265,7 @@ def _run_sl2(diff: Diff, max_level: int | None) -> None:
     diff.check("sl2 base lambda", data["base"]["lambda"], inv.lam)
     top = 1 if max_level is None else min(max_level, 1)
     for n in range(top + 1):
-        report = uniform_tower_check(data["ell"], n, vertex_cap=vertex_cap())
+        report = uniform_tower_check(data["ell"], n, vertex_cap=vertex_cap(), base=t)
         diff.check(f"sl2 level {n} mu", data["levels"][n]["mu"], report.cover.mu)
         diff.check(f"sl2 level {n} lambda", data["levels"][n]["lambda"],
                    report.cover.lam)

@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import UnsupportedError, ValidationError
+from .numtheory import ord_int, prime_divisors, prime_power_exponent
 
 
 def _poly_trim(c: list) -> list:
@@ -204,7 +205,7 @@ class CyclotomicElement:
         the end is the full conjugate product taken.
         """
         x = self
-        for p in _prime_divisors(self.m):
+        for p in prime_divisors(self.m):
             while x.m % (p * p) == 0:
                 x = x._relative_norm(p)
         prod = CyclotomicElement.from_int(x.m, 1)
@@ -234,18 +235,12 @@ class CyclotomicElement:
 
     def ord_ell(self, ell: int) -> Fraction | None:
         """ell-adic valuation for prime-power conductor; None for the zero element."""
-        k = _prime_power_exponent(self.m, ell)
-        if k is None:
+        if prime_power_exponent(self.m, ell) is None:
             raise UnsupportedError(
                 f"ord_{ell} needs conductor a power of {ell}, got {self.m}")
         if not self:
             return None
-        n = self.norm()
-        v = 0
-        while n % ell == 0:
-            n //= ell
-            v += 1
-        return Fraction(v, euler_phi(self.m))
+        return Fraction(ord_int(self.norm(), ell), euler_phi(self.m))
 
     def reduce_zeta_to_one_mod(self, ell: int) -> int:
         """Image under the residue map sending zeta to 1, taken mod ell."""
@@ -259,31 +254,6 @@ def _reduce_mod_phi(coeffs: list, m: int) -> list:
         return c
     _, rem = _poly_divmod_exact(c, phi)
     return rem
-
-
-def _prime_divisors(m: int) -> list:
-    out = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
-def _prime_power_exponent(m: int, ell: int) -> int | None:
-    """k with m = ell^k, or None.  m = 1 counts as the 0-th power."""
-    if m == 1:
-        return 0
-    k = 0
-    while m % ell == 0:
-        m //= ell
-        k += 1
-    return k if m == 1 else None
 
 
 def zeta(m: int, power: int = 1) -> CyclotomicElement:

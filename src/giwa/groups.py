@@ -12,19 +12,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .errors import ResourceLimitError, UnsupportedError, ValidationError
+from .numtheory import is_prime
 
 DEFAULT_ENUMERATION_CAP = 200_000
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1 if p == 2 else 2
-    return True
 
 
 @dataclass(frozen=True)
@@ -252,7 +242,7 @@ def sl2_level_quotient(ell: int, level: int,
                        cap: int = DEFAULT_ENUMERATION_CAP) -> SL2Quotient:
     if ell == 2:
         raise UnsupportedError("ell = 2 is not supported for the SL2 congruence quotient")
-    if not _is_prime(ell):
+    if not is_prime(ell):
         raise ValidationError(f"ell must be an odd prime, got {ell}")
     if level < 0:
         raise ValidationError("level must be >= 0")

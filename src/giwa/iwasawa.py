@@ -10,8 +10,9 @@ lambda exactly: mu is the minimal ell-valuation of the coefficients of P
 u^(-K) is a unit power series), and lambda(f) is the multiplicity of the
 root u = 1 of P/ell^mu over F_ell.
 
-Truncated ell-adic voltages take the generic route: a Berkowitz determinant
-over the truncated series ring and windowed mu/lambda extraction with
+Truncated ell-adic voltages take a Berkowitz determinant over
+(Z/ell^N)[T]/(T^(cap+1)) with packed-integer products
+(series.truncated_determinant), and windowed mu/lambda extraction with
 adaptive cap growth.
 """
 
@@ -27,10 +28,12 @@ from .errors import (DisconnectedError, GiwaError, PrecisionError,
                      ResourceLimitError, UnsupportedError, ValidationError)
 from .graphs import (Multigraph, Orientation, bareiss_determinant,
                      euler_characteristic, is_connected, spanning_tree_count)
-from .groups import FiniteGroup, _is_prime, cyclic, product
+from .groups import FiniteGroup, cyclic, product
+from .numtheory import is_prime, ord_factorial, ord_int, prime_power_exponent
 from .polys import interpolate_at_integers
-from .series import (PadicTruncated, TruncatedPowerSeries, binomial_series,
-                     mu_lambda, ord_int, ring_determinant)
+from .series import (PadicTruncated, TruncatedPowerSeries, binomial_coefficients,
+                     binomial_residues, binomial_series, mu_lambda,
+                     ring_determinant, truncated_determinant)
 from .voltage import (CoverMap, DerivedGraph, VoltageAssignment, derived_graph,
                       voltage_assignment, voltage_connectedness)
 
@@ -61,7 +64,7 @@ class Tower:
 
     def __post_init__(self):
         object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
-        if not _is_prime(self.ell):
+        if not is_prime(self.ell):
             raise ValidationError(f"ell must be a prime, got {self.ell}")
         if euler_characteristic(self.graph) == 0:
             raise ValidationError(
@@ -176,7 +179,6 @@ class LaurentDeterminant:
     shift: int         # K
 
     def series(self, cap: int) -> TruncatedPowerSeries:
-        from .series import binomial_coefficients
         out = [0] * (cap + 1)
         for d, c in enumerate(self.coeffs):
             if c == 0:
@@ -291,8 +293,8 @@ def characteristic_series(t: Tower, cap: int = DEFAULT_CAP) -> TruncatedPowerSer
     """f(T) = det(D - A_rho) through degree cap.
 
     Integer voltages use the exact Laurent-polynomial kernel; truncated
-    ell-adic voltages build the series matrix and use the division-free
-    determinant.
+    ell-adic voltages use the division-free determinant over residues mod
+    ell^N (see _padic_characteristic_series).
     """
     if t.exact:
         ld = _tower_p(t)
@@ -304,29 +306,51 @@ def characteristic_series(t: Tower, cap: int = DEFAULT_CAP) -> TruncatedPowerSer
 
 def _padic_cap_limit(ell: int, precision: int) -> int:
     """Largest cap leaving at least one certified digit after the k! division."""
-    from .series import _ord_factorial
     m = 1
-    while _ord_factorial(m + 1, ell) <= precision - 1:
+    while ord_factorial(m + 1, ell) <= precision - 1:
         m += 1
     return m
 
 
 def _padic_characteristic_series(t: Tower, cap: int) -> TruncatedPowerSeries:
+    """f through degree cap for truncated voltages, over (Z/ell^N)[T]/(T^(cap+1)).
+
+    A voltage known mod ell^P gives binomial series certified mod
+    ell^(P - ord_ell(cap!)) (series.binomial_residues); N is the least of
+    these, the precision at which the determinant is certified, and the
+    entries of D - A_rho are read mod ell^N.  The coefficients are wrapped as
+    PadicTruncated values mod ell^N only on the way out.
+    """
+    ell = t.ell
+    # (1+T)^a and (1+T)^(-a) per orientation edge; int voltages are exact
+    binomials = {}
+    digits = []
+    for s in t.orientation:
+        a = t.values[s]
+        if isinstance(a, int):
+            binomials[s] = binomial_coefficients(a, cap), binomial_coefficients(-a, cap)
+            continue
+        if not isinstance(a, PadicTruncated):
+            raise UnsupportedError(f"unsupported exponent type {type(a).__name__}")
+        if a.ell != ell:
+            raise ValidationError("mixed primes in p-adic arithmetic")
+        n_out, forward = binomial_residues(a, cap)
+        _, backward = binomial_residues(PadicTruncated(ell, a.precision, -a.value), cap)
+        binomials[s] = forward, backward
+        digits.append(n_out)
     g = t.graph.vertex_count
-    zero = TruncatedPowerSeries.zero(cap)
-    M = [[zero for _ in range(g)] for _ in range(g)]
-    val = [0] * g
+    M = [[[0] * (cap + 1) for _ in range(g)] for _ in range(g)]
     for s in t.orientation:
         i, j = t.graph.origin[s], t.graph.terminus[s]
-        a = t.values[s]
-        val[i] += 1
-        val[j] += 1
-        neg = -a if isinstance(a, int) else PadicTruncated(a.ell, a.precision, -a.value)
-        M[i][j] = M[i][j] - binomial_series(a, cap)
-        M[j][i] = M[j][i] - binomial_series(neg, cap)
-    for i in range(g):
-        M[i][i] = M[i][i] + val[i]
-    return ring_determinant(M)
+        forward, backward = binomials[s]
+        M[i][i][0] += 1
+        M[j][j][0] += 1
+        for k in range(cap + 1):
+            M[i][j][k] -= forward[k]
+            M[j][i][k] -= backward[k]
+    n = min(digits)
+    det = truncated_determinant(M, ell ** n, cap)
+    return TruncatedPowerSeries([PadicTruncated(ell, n, c) for c in det])
 
 
 # ---------------------------------------------------------------------------
@@ -528,12 +552,6 @@ def lift_tower(t: Tower, p: CoverMap) -> Tower:
     return out
 
 
-def _is_ell_power(n: int, ell: int) -> bool:
-    while n % ell == 0:
-        n //= ell
-    return n == 1
-
-
 def certify_pullback_connected(t: Tower, va_beta: VoltageAssignment) -> tuple:
     """All pullback levels are connected iff the combined voltage generates G x Z/ell.
 
@@ -579,7 +597,7 @@ def kida_verify(t: Tower, beta_by_edge_id: Mapping, group: FiniteGroup) -> KidaR
     base mu is zero the identity lambda_Y + 1 = [Y:X](lambda_X + 1) is
     asserted.
     """
-    if not _is_ell_power(group.order, t.ell):
+    if prime_power_exponent(group.order, t.ell) is None:
         raise ValidationError(
             f"|G| = {group.order} is not a power of ell = {t.ell}")
     va_beta = voltage_assignment(t.graph, group, dict(beta_by_edge_id),
@@ -701,37 +719,42 @@ class UniformTowerReport:
                 and self.all_levels_certified)
 
 
-def uniform_tower_data(ell: int, level: int) -> tuple:
+def uniform_tower_data(ell: int, level: int, base: Tower | None = None) -> tuple:
     """The bouquet-of-four construction: (graph, alpha assignment, tower).
 
     alpha sends the first three loops to the standard SL2 congruence-kernel
     generators at the given level and the fourth loop to the identity; the
-    tower voltage is 0 on the first three loops and 1 on the fourth.
+    tower voltage is 0 on the first three loops and 1 on the fourth.  A base
+    equal to that tower is used in its place, so that callers at several
+    levels share its cached P.
     """
     from .graphs import bouquet
-    from .groups import sl2_level_quotient
+    from .groups import sl2_generators, sl2_level_quotient
 
-    X = bouquet(4)
-    quot = sl2_level_quotient(ell, level)
-    G = quot.group
-    from .groups import sl2_generators
+    G = sl2_level_quotient(ell, level).group
+    t = tower(bouquet(4), ell, {"s1": 0, "s2": 0, "s3": 0, "s4": 1})
+    if base is not None:
+        if base != t:
+            raise ValidationError(
+                "base must be the bouquet-of-four tower with voltages 0, 0, 0, 1")
+        t = base
     a1, a2, a3 = sl2_generators(ell, level)
     alpha = {"s1": a1, "s2": a2, "s3": a3, "s4": G.identity}
-    va = voltage_assignment(X, G, alpha)
-    t = tower(X, ell, {"s1": 0, "s2": 0, "s3": 0, "s4": 1})
-    return X, va, t
+    va = voltage_assignment(t.graph, G, alpha)
+    return t.graph, va, t
 
 
 def uniform_tower_check(ell: int, level: int, explicit_m: int = 2,
-                        vertex_cap: int = DEFAULT_VERTEX_CAP) -> UniformTowerReport:
+                        vertex_cap: int = DEFAULT_VERTEX_CAP,
+                        base: Tower | None = None) -> UniformTowerReport:
     """Verify lambda_n = ell^(3n)(lambda+1) - 1 for the SL2 congruence tower.
 
     Builds Y_n = X(G_n, S, alpha), certifies connectedness of every stage of
     the combined tower (explicitly for m <= explicit_m, and for all m by the
     Frattini argument at m = 1), and computes the invariants over Y_n via
-    the pulled-back tower.
+    the pulled-back tower.  base is passed to uniform_tower_data.
     """
-    X, va, t = uniform_tower_data(ell, level)
+    X, va, t = uniform_tower_data(ell, level, base)
     G = va.group
     if G.order * X.vertex_count > vertex_cap:
         raise ResourceLimitError(
@@ -756,9 +779,11 @@ def uniform_tower_check(ell: int, level: int, explicit_m: int = 2,
         checked.append(m)
     all_certified = 1 in checked      # m = 1 certifies every m (Frattini)
 
-    upstairs = derived_graph(va)
-    lifted = lift_tower(t, upstairs.projection)
-    cover_inv = iwasawa_invariants(lifted)
+    if G.order == 1:
+        # Y_0 is X itself, carrying the same voltages
+        cover_inv = base_inv
+    else:
+        cover_inv = iwasawa_invariants(lift_tower(t, derived_graph(va).projection))
     expected = ell ** (3 * level) * (base_inv.lam + 1) - 1
     return UniformTowerReport(ell=ell, level=level, base=base_inv,
                               cover=cover_inv, lambda_expected=expected,

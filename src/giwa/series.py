@@ -2,8 +2,11 @@
 
 Coefficients may be Python ints (exact integers), PadicTruncated residues
 (known mod ell^N), or CyclotomicElement values.  All arithmetic is exact
-through the degree cap; multiplication truncates.  The determinant here is
-division-free (Berkowitz) because series rings have non-unit constant terms.
+through the degree cap; multiplication truncates.  The determinants here are
+division-free (Berkowitz) because series rings have non-unit constant terms:
+ring_determinant over any of these coefficient rings, and
+truncated_determinant over (Z/ell^N)[T]/(T^(cap+1)) with every series held as
+a list of residues and multiplied as one packed integer.
 """
 
 from __future__ import annotations
@@ -13,17 +16,7 @@ from typing import Sequence
 
 from .cyclotomic import CyclotomicElement, euler_phi
 from .errors import PrecisionError, UnsupportedError, ValidationError
-
-
-def ord_int(n: int, ell: int) -> int | None:
-    """ell-adic valuation of an integer; None for 0 (infinite)."""
-    if n == 0:
-        return None
-    v = 0
-    while n % ell == 0:
-        n //= ell
-        v += 1
-    return v
+from .numtheory import ord_factorial, ord_int, prime_divisors, prime_power_exponent
 
 
 class PadicTruncated:
@@ -273,30 +266,16 @@ def binomial_coefficients(a: int, cap: int) -> list:
     return out
 
 
-def _ord_factorial(n: int, ell: int) -> int:
-    v = 0
-    p = ell
-    while p <= n:
-        v += n // p
-        p *= ell
-    return v
+def binomial_residues(a: "PadicTruncated", cap: int) -> tuple:
+    """(N, [c_0, ..., c_cap]): the coefficients of (1+T)^a as residues mod ell^N.
 
-
-def binomial_series(a, cap: int) -> TruncatedPowerSeries:
-    """The series (1+T)^a.
-
-    For integer a the coefficients are exact integers (negative a gives the
-    alternating binomials).  For a known only mod ell^P, dividing the
-    numerator product by k! costs up to ord_ell(cap!) digits, so ord_ell(cap!)
-    guard digits of the input are consumed: coefficients come back at
-    precision P - ord_ell(cap!), each one provably correct there.
+    a is known mod ell^P.  Dividing the numerator product by k! costs up to
+    ord_ell(cap!) digits, so ord_ell(cap!) guard digits of the input are
+    consumed and N = P - ord_ell(cap!); each residue is provably correct mod
+    ell^N.  The valuation and the unit part of k! are carried from k - 1.
     """
-    if isinstance(a, int):
-        return TruncatedPowerSeries(binomial_coefficients(a, cap))
-    if not isinstance(a, PadicTruncated):
-        raise UnsupportedError(f"unsupported exponent type {type(a).__name__}")
     ell, P = a.ell, a.precision
-    guard = _ord_factorial(cap, ell)
+    guard = ord_factorial(cap, ell)
     n_out = P - guard
     if n_out < 1:
         raise PrecisionError(
@@ -304,18 +283,35 @@ def binomial_series(a, cap: int) -> TruncatedPowerSeries:
             f"{guard} guard; raise the precision or lower the cap")
     big = ell ** P
     out_mod = ell ** n_out
-    coeffs = [PadicTruncated(ell, n_out, 1)]
+    out = [1]
     num = 1
-    fact = 1
+    v = 0           # ord_ell(k!)
+    unit = 1        # k! / ell^v, mod ell^N
     for k in range(1, cap + 1):
         num = num * (a.value - (k - 1)) % big
-        fact *= k
-        v = ord_int(fact, ell) or 0
-        unit = fact // ell ** v
-        reduced = (num % (ell ** (v + n_out))) // ell ** v
-        coeffs.append(PadicTruncated(ell, n_out,
-                                     reduced * pow(unit, -1, out_mod)))
-    return TruncatedPowerSeries(coeffs)
+        j = k
+        while j % ell == 0:
+            j //= ell
+            v += 1
+        unit = unit * j % out_mod
+        scale = ell ** v
+        out.append((num % (scale * out_mod)) // scale * pow(unit, -1, out_mod) % out_mod)
+    return n_out, out
+
+
+def binomial_series(a, cap: int) -> TruncatedPowerSeries:
+    """The series (1+T)^a.
+
+    For integer a the coefficients are exact integers (negative a gives the
+    alternating binomials).  For a known only mod ell^P the coefficients come
+    back at precision P - ord_ell(cap!) (see binomial_residues).
+    """
+    if isinstance(a, int):
+        return TruncatedPowerSeries(binomial_coefficients(a, cap))
+    if not isinstance(a, PadicTruncated):
+        raise UnsupportedError(f"unsupported exponent type {type(a).__name__}")
+    n_out, residues = binomial_residues(a, cap)
+    return TruncatedPowerSeries([PadicTruncated(a.ell, n_out, c) for c in residues])
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +410,66 @@ def ring_determinant(matrix: Sequence[Sequence]) -> object:
     return -det if n % 2 else det
 
 
+def truncated_determinant(matrix: Sequence[Sequence[Sequence[int]]], modulus: int,
+                          cap: int) -> list:
+    """Determinant over (Z/modulus)[T]/(T^(cap+1)), as cap + 1 residues.
+
+    Each entry is a list of cap + 1 integers, read mod modulus.  The recursion
+    is ring_determinant's, but every series is one packed integer (Kronecker
+    substitution): coefficient k fills slot k, of `width` bytes.  Every sum
+    the recursion forms has at most n products of reduced series, so its
+    coefficients stay below n (cap + 1) (modulus - 1)^2 < 2^(8 width) and no
+    slot carries into the next.  A sum is therefore multiplied and added
+    packed, then unpacked and reduced mod modulus once per output entry.
+    """
+    n = len(matrix)
+    length = cap + 1
+    for row in matrix:
+        if len(row) != n:
+            raise ValidationError("determinant of a non-square matrix")
+        if any(len(e) != length for e in row):
+            raise ValidationError(f"series entries need {length} coefficients")
+    if n == 0:
+        return [1 % modulus] + [0] * cap
+    width = (n * length * (modulus - 1) ** 2).bit_length() // 8 + 1
+    span = width * length
+    mask = (1 << 8 * span) - 1
+
+    def pack(coeffs):
+        return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs),
+                              "little")
+
+    def unpack(total):
+        """The first cap + 1 slots; the higher ones hold only dropped terms."""
+        raw = (total & mask).to_bytes(span, "little")
+        return [int.from_bytes(raw[k:k + width], "little") for k in range(0, span, width)]
+
+    def dot(xs, ys, negate=False):
+        """sum x*y over the pairs, reduced (and negated if asked) and packed again."""
+        sign = -1 if negate else 1
+        total = sum(x * y for x, y in zip(xs, ys) if x and y)
+        return pack([sign * c % modulus for c in unpack(total)])
+
+    M = [[pack([c % modulus for c in e]) for e in row] for row in matrix]
+    # p holds charpoly coefficients of the leading block, highest power first
+    p = [1, dot([1], [M[0][0]], negate=True)]
+    for r in range(2, n + 1):
+        R = M[r - 1][:r - 1]
+        w = [M[i][r - 1] for i in range(r - 1)]
+        s = [1, dot([1], [M[r - 1][r - 1]], negate=True), dot(R, w, negate=True)]
+        for _ in range(r - 2):
+            w = [dot(M[i][:r - 1], w) for i in range(r - 1)]
+            s.append(dot(R, w, negate=True))
+        # after the last step only q[n], the determinant up to sign, is read
+        q = [0] * (r + 1)
+        for i in range(r + 1) if r < n else (n,):
+            ks = range(max(0, i - r), min(i, r - 1) + 1)
+            q[i] = dot([s[i - k] for k in ks], [p[k] for k in ks])
+        p = q
+    sign = -1 if n % 2 else 1
+    return [sign * c % modulus for c in unpack(p[n])]
+
+
 def cofactor_determinant(matrix: Sequence[Sequence]) -> object:
     """Independent oracle: Laplace expansion along the first row (small n only)."""
     n = len(matrix)
@@ -442,12 +498,12 @@ def evaluate_at_tpsi(series: TruncatedPowerSeries, conductor: int, power: int,
     on ord_ell of the discarded tail (None when t = 0 and the value is exact).
     The conductor must be a prime power ell^n with n >= 1.
     """
-    from .cyclotomic import _prime_power_exponent, t_psi as make_t
+    from .cyclotomic import t_psi as make_t
 
     if conductor < 2:
         raise UnsupportedError("conductor must be at least 2")
-    ell = next(p for p in range(2, conductor + 1) if conductor % p == 0)
-    if _prime_power_exponent(conductor, ell) is None:
+    ell = prime_divisors(conductor)[0]
+    if prime_power_exponent(conductor, ell) is None:
         raise UnsupportedError(f"conductor {conductor} is not a prime power")
 
     power %= conductor

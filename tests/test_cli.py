@@ -195,6 +195,19 @@ class TestExamplesCommand:
         assert main(["examples", "ex1"]) == 0
         assert sorted(built) == [1, 9]       # the base and its pullback
 
+    def test_sl2_builds_each_laurent_determinant_once(self, capsys, monkeypatch):
+        import giwa.iwasawa
+        real = giwa.iwasawa._laurent_determinant
+        built = []
+
+        def counting(t, *args):
+            built.append(t.graph.vertex_count)
+            return real(t, *args)
+
+        monkeypatch.setattr(giwa.iwasawa, "_laurent_determinant", counting)
+        assert main(["examples", "sl2"]) == 0
+        assert sorted(built) == [1, 27]      # the B4 tower and its level-1 lift
+
     def test_unknown_example(self, capsys):
         assert main(["examples", "nope"]) == 2
 

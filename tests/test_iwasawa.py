@@ -425,6 +425,14 @@ class TestUniformTower:
         assert report.all_levels_certified
         assert report.ok
 
+    def test_levels_share_a_given_base(self):
+        base = sl2_base_tower()
+        for level in (0, 1):
+            assert uniform_tower_check(3, level, base=base).ok
+        assert base._p is not None
+        with pytest.raises(ValidationError, match="bouquet-of-four"):
+            uniform_tower_check(3, 0, base=ex1_tower())
+
     def test_uniform_filtration_via_groups_module(self):
         assert verify_uniform_quotients(3, 2).ok
 
