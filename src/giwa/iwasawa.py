@@ -3,8 +3,10 @@
 The characteristic series of a tower with voltage alpha is
 f(T) = det(D - A_rho) where A_rho carries (1+T)^(alpha(s)) entries.  With
 integer voltages every entry is an integer Laurent polynomial in u = 1 + T,
-so f = P(u) / u^K for an integer polynomial P computed exactly by point
-evaluation and Newton interpolation.  That finite object yields mu and
+so f = P(u) / u^K for an integer polynomial P read exactly off one
+determinant at u = 2^B as signed base-2^B digits (Kronecker substitution);
+|coefficients| <= prod_i sqrt(sum_j ||M_ij||_1^2), Hadamard's bound for |P|
+on |u| = 1, keep the digits apart.  That finite object yields mu and
 lambda exactly: mu is the minimal ell-valuation of the coefficients of P
 (the basis change between powers of u and powers of T is unimodular, and
 u^(-K) is a unit power series), and lambda(f) is the multiplicity of the
@@ -19,6 +21,7 @@ adaptive cap growth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 from types import MappingProxyType
 from typing import Mapping
 
@@ -30,7 +33,6 @@ from .graphs import (Multigraph, Orientation, bareiss_determinant,
                      euler_characteristic, is_connected, spanning_tree_count)
 from .groups import FiniteGroup, cyclic, product
 from .numtheory import is_prime, ord_factorial, ord_int, prime_power_exponent
-from .polys import interpolate_at_integers
 from .series import (PadicTruncated, TruncatedPowerSeries, binomial_coefficients,
                      binomial_residues, binomial_series, mu_lambda,
                      ring_determinant, truncated_determinant)
@@ -232,7 +234,9 @@ def _laurent_determinant(t: Tower, n: int | None = None) -> LaurentDeterminant:
     (-ell^n/2, ell^n/2].  The second gives the same det L(zeta) =
     P(zeta)/zeta^K at every ell^n-th root of unity, is never of larger
     degree, and needs only the voltages mod ell^n, so truncated voltages
-    have one too.
+    have one too.  P is one Bareiss determinant at u = 2^B, read as signed
+    base-2^B digits: on |u| = 1, |P| <= H (Hadamard) and each coefficient is
+    a mean of P(u) u^(-k), so |coefficient| <= H < 2^(B-2) (see _slot_bits).
     """
     if n is None:
         values = t.values
@@ -243,36 +247,30 @@ def _laurent_determinant(t: Tower, n: int | None = None) -> LaurentDeterminant:
             r = t.value_mod(d, n)
             values[d] = r - mod if 2 * r > mod else r
     ent = _laurent_matrix(t, values)
-    g = t.graph.vertex_count
-    shift = 0
-    degbound = 0
-    for i in range(g):
-        mn = min((min(d) for d in ent[i] if d), default=0)
-        row_shift = max(0, -mn)
+    slot = _slot_bits(ent)
+    shift = degbound = 0
+    M = []
+    for row in ent:
+        row_shift = -min(min(d, default=0) for d in row)   # the diagonal holds u^0
         shift += row_shift
-        if row_shift:
-            for j in range(g):
-                ent[i][j] = {e + row_shift: c for e, c in ent[i][j].items()}
-        degbound += max((max(d) for d in ent[i] if d), default=0)
-    samples = []
-    for x in range(degbound + 1):
-        powers = {}
-        M = []
-        for i in range(g):
-            row = []
-            for j in range(g):
-                acc = 0
-                for e, c in ent[i][j].items():
-                    p = powers.get(e)
-                    if p is None:
-                        p = x ** e
-                        powers[e] = p
-                    acc += c * p
-                row.append(acc)
-            M.append(row)
-        samples.append(bareiss_determinant(M))
-    coeffs = interpolate_at_integers(samples)
+        degbound += max(max(d, default=0) for d in row) + row_shift
+        M.append([sum(c << slot * (e + row_shift) for e, c in d.items()) for d in row])
+    # P(2^B) plus half = 2^(B-1) in every digit, which puts each digit in [0, 2^B)
+    half = 1 << (slot - 1)
+    biased = bareiss_determinant(M) + int(("1" + "0" * (slot - 1)) * (degbound + 1), 2)
+    bits = format(biased, f"0{slot * (degbound + 1)}b")
+    coeffs = [int(bits[k - slot:k], 2) - half for k in range(len(bits), 0, -slot)]
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
     return LaurentDeterminant(coeffs=tuple(coeffs), shift=shift)
+
+
+def _slot_bits(ent: list) -> int:
+    """B with 2^(B-2) > H = prod_i sqrt(sum_j ||ent_ij||_1^2), P's coefficient bound."""
+    h2 = 1
+    for row in ent:
+        h2 *= sum(sum(map(abs, d.values())) ** 2 for d in row)
+    return isqrt(h2).bit_length() + 2
 
 
 def _tower_p(t: Tower) -> LaurentDeterminant:
@@ -393,8 +391,8 @@ def iwasawa_invariants(t: Tower, cap: int = DEFAULT_CAP,
         lam_f = ld.lambda_f(t.ell)
         return IwasawaData(mu=mu, lam=lam_f - 1)
     # truncated voltages: the cap is bounded by the precision budget, since
-    # each binomial coefficient burns ord_ell(cap!) guard digits
-    min_prec = min(v.precision for v in t.values.values())
+    # each binomial coefficient burns ord_ell(cap!) guard digits; ints are exact
+    min_prec = min(v.precision for v in t.values.values() if isinstance(v, PadicTruncated))
     cap = min(cap, _padic_cap_limit(t.ell, min_prec))
     while True:
         f = _padic_characteristic_series(t, cap)

@@ -1,8 +1,8 @@
 """Dense polynomials in one variable over exact coefficient rings.
 
 Used for the h-polynomials det(I - A_psi u + (D-I)u^2), whose coefficients
-are rational or cyclotomic integers, and for the interpolation kernel that
-recovers integer polynomial determinants from point evaluations.
+are rational or cyclotomic integers, and for the Newton interpolation that
+recovers the integer h-polynomials from point evaluations.
 """
 
 from __future__ import annotations

@@ -166,3 +166,11 @@ def test_kernel_on_explicit_matrices():
     diag = [[minus if i == j else zero for j in range(3)] for i in range(3)]
     assert truncated_determinant(diag, mod, cap) == [mod - 1, 0, 0, 0]
     assert truncated_determinant([], mod, cap) == [1, 0, 0, 0]
+
+
+def test_mixed_int_and_truncated_voltages():
+    mixed = tower(bouquet(2), 3, {"s1": 1, "s2": PadicTruncated(3, 20, 4)})
+    exact = tower(bouquet(2), 3, {"s1": 1, "s2": 4})
+    inv = iwasawa_invariants(mixed)
+    assert (inv.mu, inv.lam) == (0, 1)
+    assert inv == iwasawa_invariants(exact)
