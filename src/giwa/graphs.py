@@ -212,11 +212,56 @@ def matrices(graph: Multigraph) -> tuple:
     return D, A, Q
 
 
+# Divisors wider than this many bits are divided through a 2-adic inverse
+# (_exact_divider); below it, CPython's floor division is faster.
+_TWO_ADIC_CUTOFF = 1024
+
+
+def _exact_divider(d: int):
+    """Return a function x -> x / d for exact multiples x of d, d != 0.
+
+    With d = +-2^s * o and o odd, the quotient q satisfies
+    q = +-(x >> s) * o^-1 mod 2^k, and k = bits(x) - bits(d) + 2 makes
+    |q| < 2^(k-1), so q is the signed residue (Jebelean's exact division).
+    o^-1 mod 2^p is lifted by Newton doubling, x <- x(2 - o x) mod 2^(2p),
+    and kept between calls, extended only when a wider quotient needs it.
+    Only multiplications are used: CPython's `//` is quadratic in the size
+    of the divisor, and so is `pow(o, -1, 2**k)`.
+    """
+    s = (d & -d).bit_length() - 1
+    odd = abs(d) >> s
+    d_bits = d.bit_length()
+    negative = d < 0
+    inverse, precision = 1, 1
+
+    def divide(x: int) -> int:
+        nonlocal inverse, precision
+        if not x:
+            return 0
+        k = x.bit_length() - d_bits + 2
+        while precision < k:
+            precision *= 2
+            mask = (1 << precision) - 1
+            inverse = inverse * (2 - (odd & mask) * inverse) & mask
+        mask = (1 << k) - 1
+        q = ((x >> s) & mask) * (inverse & mask) & mask
+        if q >> (k - 1):
+            q -= 1 << k
+        return -q if negative else q
+
+    return divide
+
+
 def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
     """Exact determinant of an integer matrix by fraction-free elimination.
 
-    Every division in the Bareiss recurrence is exact over the integers, so
-    the result is exact for arbitrary-precision entries; O(n^3) ring ops.
+    Every division in the Bareiss recurrence is exact over the integers
+    (Sylvester's identity), so the result is exact for arbitrary-precision
+    entries; O(n^3) ring ops.  A step whose divisor is at most
+    _TWO_ADIC_CUTOFF (1024) bits wide divides with `//`; a wider divisor is
+    inverted once per step modulo a power of 2 and each quotient is read off
+    as a signed residue (_exact_divider), which replaces CPython's quadratic
+    long division by multiplications.
     """
     a = [list(row) for row in matrix]
     n = len(a)
@@ -235,12 +280,20 @@ def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
         akk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * akk - aik * row_k[j]) // prev
+        row_k = a[k]
+        if prev.bit_length() <= _TWO_ADIC_CUTOFF:
+            for i in range(k + 1, n):
+                aik = a[i][k]
+                row_i = a[i]
+                for j in range(k + 1, n):
+                    row_i[j] = (row_i[j] * akk - aik * row_k[j]) // prev
+        else:
+            divide = _exact_divider(prev)
+            for i in range(k + 1, n):
+                aik = a[i][k]
+                row_i = a[i]
+                for j in range(k + 1, n):
+                    row_i[j] = divide(row_i[j] * akk - aik * row_k[j])
         prev = akk
     return sign * a[n - 1][n - 1]
 

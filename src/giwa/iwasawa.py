@@ -294,6 +294,8 @@ def characteristic_series(t: Tower, cap: int = DEFAULT_CAP) -> TruncatedPowerSer
     ell-adic voltages use the division-free determinant over residues mod
     ell^N (see _padic_characteristic_series).
     """
+    if cap < 0:
+        raise ValidationError("cap must be >= 0")
     if t.exact:
         ld = _tower_p(t)
         if not ld.is_zero():
@@ -379,6 +381,8 @@ def iwasawa_invariants(t: Tower, cap: int = DEFAULT_CAP,
     certified answers from the finite Laurent form; truncated voltages grow
     the cap adaptively and report precision exhaustion honestly.
     """
+    if cap < 1:
+        raise ValidationError("cap must be >= 1")
     if not certify_levels_connected(t):
         raise DisconnectedError(
             "tower levels are disconnected; invariants are undefined")
@@ -427,6 +431,8 @@ def kappa_ord_sequence(t: Tower, n_max: int, factor: bool = False,
     whose vertex count would exceed the cap are still refused with a
     resource error.
     """
+    if n_max < 0:
+        raise ValidationError("level must be >= 0")
     for n in range(n_max + 1):
         n_vertices = t.graph.vertex_count * t.ell ** n
         if n_vertices > vertex_cap:
@@ -437,7 +443,7 @@ def kappa_ord_sequence(t: Tower, n_max: int, factor: bool = False,
         if n == 1:
             # level 1 connected certifies every level (certify_levels_connected)
             _require_level_connected(t, va, n)
-    kappas = [spanning_tree_count(t.graph)] if n_max >= 0 else []
+    kappas = [spanning_tree_count(t.graph)]
     if n_max > 0:
         ld = getattr(t, "_p", None)
         if ld is None:

@@ -122,6 +122,26 @@ class TestInvariantsCommand:
         assert code == 0
         assert "2^2 * 3^3" in out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--cap", "0"], "cap must be >= 1"),
+        (["--cap", "-3"], "cap must be >= 1"),
+        (["--levels", "-1"], "level must be >= 0"),
+    ])
+    def test_bad_cap_or_level_exits_2(self, capsys, argv, message):
+        code = main(["invariants", spec_path("ex1_tower.json"), *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_negative_spec_levels_exit_2(self, tmp_path, capsys):
+        spec = load_json(spec_path("ex1_tower.json"))
+        spec["levels"] = -1
+        path = tmp_path / "neg.json"
+        path.write_text(json.dumps(spec))
+        assert main(["invariants", str(path)]) == 2
+        assert "level must be >= 0" in capsys.readouterr().err
+
 
 class TestKidaCommand:
     def test_ex1(self, capsys):

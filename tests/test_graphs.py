@@ -1,13 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import giwa.graphs as graphs
 from giwa import (ValidationError, DisconnectedError, bareiss_determinant,
                   bouquet, build_multigraph, components,
                   count_spanning_trees_bruteforce, cycle_graph,
                   euler_characteristic, is_connected, matrices, pi1_basis,
                   spanning_tree_count)
 from giwa.graphs import laplacian_cofactor, path_is_closed_at
+from giwa.series import cofactor_determinant
 
 
 def two_vertex_four_edge_graph():
@@ -207,3 +210,101 @@ class TestBareiss:
             n = rng.randint(1, 4)
             m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             assert bareiss_determinant(m) == cofactor_determinant(m)
+
+
+def floor_division_determinant(matrix):
+    """Bareiss with `//` at every step: the division rule before the 2-adic one."""
+    a = [list(row) for row in matrix]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+@st.composite
+def wide_matrices(draw):
+    """Square matrices whose Bareiss divisors straddle graphs._TWO_ADIC_CUTOFF.
+
+    Column j is scaled by +-2^s_j, which scales the leading minors, and so
+    the divisors, by signs and powers of 2 up to 2^64.  A zero leading minor
+    forces a row swap, and a repeated row or a zero column makes the matrix
+    singular.
+    """
+    n = draw(st.integers(0, 8))
+    bits = draw(st.integers(500, max(500, min(20_000, 40_000 // max(n, 1)))))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    a = [[rng.getrandbits(bits) - (1 << (bits - 1)) for _ in range(n)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        k = draw(st.integers(0, n - 2))
+        if k == 0:
+            a[0][0] = 0
+        else:
+            a[k][:k + 1] = a[0][:k + 1]     # leading (k+1)-minor is 0
+    singular = draw(st.sampled_from(["no", "row", "column"])) if n >= 2 else "no"
+    if singular == "row":
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        a[i] = list(a[j])
+    elif singular == "column":
+        j = draw(st.integers(0, n - 1))
+        for row in a:
+            row[j] = 0
+    for j in range(n):
+        scale = (-1) ** draw(st.integers(0, 1)) << draw(st.integers(0, 64))
+        for row in a:
+            row[j] *= scale
+    return a, singular != "no"
+
+
+class TestTwoAdicDivision:
+    @settings(max_examples=60, deadline=None)
+    @given(wide_matrices())
+    def test_matches_floor_division_and_cofactors(self, case):
+        a, singular = case
+        det = bareiss_determinant(a)
+        assert det == floor_division_determinant(a)
+        if len(a) <= 6:
+            assert det == cofactor_determinant(a)
+        if singular:
+            assert det == 0
+
+    @pytest.mark.parametrize("n, bits, wide_steps", [(8, 2000, 6), (8, 300, 3), (6, 8, 0)])
+    def test_wide_divisors_take_the_two_adic_branch(self, monkeypatch, n, bits, wide_steps):
+        # step k divides by a leading k-minor, about k * bits bits wide
+        rng = random.Random(n * bits)
+        a = [[rng.getrandbits(bits) - (1 << (bits - 1)) for _ in range(n)] for _ in range(n)]
+        a[0][0] = -a[0][0] << 40
+        calls = []
+        real = graphs._exact_divider
+
+        def counting(d):
+            calls.append(d.bit_length())
+            return real(d)
+
+        monkeypatch.setattr(graphs, "_exact_divider", counting)
+        assert bareiss_determinant(a) == floor_division_determinant(a)
+        assert len(calls) == wide_steps
+        assert all(b > graphs._TWO_ADIC_CUTOFF for b in calls)
+
+    def test_exact_divider_signs_and_powers_of_two(self):
+        rng = random.Random(11)
+        for d_bits, q_bits in [(1100, 1), (1100, 3000), (5000, 700), (20_000, 20_000)]:
+            for s in (0, 1, 64):
+                d = (rng.getrandbits(d_bits) | 1 << (d_bits - 1) | 1) << s
+                for sd in (1, -1):
+                    divide = graphs._exact_divider(sd * d)
+                    for _ in range(4):
+                        q = rng.getrandbits(q_bits) * rng.choice((1, -1))
+                        assert divide(q * sd * d) == q
+                    assert divide(0) == 0

@@ -13,6 +13,7 @@ from giwa import (CyclotomicElement, DisconnectedError, NotStabilizedError,
 from giwa.characters import all_characters, trivial_character
 from giwa.errors import ResourceLimitError
 from giwa.groups import DIHEDRAL_REFLECTION, DIHEDRAL_ROTATION
+from giwa import refdata
 from giwa.iwasawa import certify_levels_connected
 from giwa.voltage import derived_graph
 
@@ -623,3 +624,37 @@ class TestEx1PullbackCoefficientVerificationCriterion2Cover(
 
     BETA = {"s1": (1, 0), "s2": (0, 1), "s3": (0, 1)}
     EXPECTED = (0, 0, -886443588, 886443588, -7697155248, 14507866908)
+
+
+class TestBadCapsAndLevels:
+    """Caps and levels out of range are refused up front, not looped on."""
+
+    def padic_tower(self):
+        return tower(bouquet(3), 2, {f"s{i}": PadicTruncated(2, 12, 1) for i in (1, 2, 3)})
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_invariants_cap_below_one(self, cap):
+        for t in (self.padic_tower(), ex1_tower()):
+            with pytest.raises(ValidationError, match="cap must be >= 1"):
+                iwasawa_invariants(t, cap=cap)
+
+    def test_characteristic_series_negative_cap(self):
+        for t in (self.padic_tower(), ex1_tower()):
+            with pytest.raises(ValidationError, match="cap must be >= 0"):
+                characteristic_series(t, -1)
+            assert len(characteristic_series(t, 0).coeffs) == 1
+
+    def test_kappa_negative_level(self):
+        with pytest.raises(ValidationError, match="level must be >= 0"):
+            kappa_ord_sequence(ex1_tower(), -1)
+        assert [row[0] for row in kappa_ord_sequence(ex1_tower(), 0)] == [0]
+
+
+def test_kida_on_wide_ex1_voltage():
+    # s3 = 1001 puts deg P of the pullback at 18,018: its exact P runs
+    # Bareiss steps whose divisors are tens of thousands of bits wide
+    t = tower(bouquet(3), 3, {"s1": 1, "s2": 4, "s3": 1001})
+    report = kida_verify(t, refdata.EX1["beta"], product(cyclic(3), cyclic(3)))
+    assert (report.base.mu, report.base.lam) == (0, 5)
+    assert (report.cover.mu, report.cover.lam) == (0, 53)
+    assert report.ok
