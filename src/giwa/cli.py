@@ -21,7 +21,6 @@ from . import refdata
 from .errors import (DisconnectedError, GiwaError, PrecisionError,
                      ResourceLimitError, UnsupportedError, ValidationError)
 from .graphs import bouquet, euler_characteristic, is_connected
-from .groups import cyclic, dihedral_8, product
 from .iwasawa import (DEFAULT_VERTEX_CAP, NotStabilizedError,
                       characteristic_series, decimal_string, fit_iwasawa,
                       format_factorization, iwasawa_invariants,
@@ -29,8 +28,9 @@ from .iwasawa import (DEFAULT_VERTEX_CAP, NotStabilizedError,
                       uniform_tower_check)
 from .lfunctions import (artin_product_check, class_number_check, hashimoto_check,
                          ihara_zeta_inverse)
-from .specio import load_json, graph_from_spec, tower_from_spec, voltage_from_spec
-from .voltage import derived_graph
+from .specio import (graph_from_spec, group_from_spec, load_json, parse_element,
+                     tower_from_spec, voltage_from_spec)
+from .voltage import derived_graph, voltage_assignment
 
 
 def vertex_cap() -> int:
@@ -159,102 +159,58 @@ def cmd_kida(args) -> int:
 # examples
 
 
-def _run_ex1(diff: Diff, max_level: int | None) -> None:
-    data = refdata.EX1
-    X = bouquet(3)
-    t = tower(X, data["ell"], data["alpha"])
+def _run_pullback_example(data: dict, diff: Diff, max_level: int | None) -> None:
+    """The base tower of a refdata example over B3, then its pullback along beta."""
+    name, ell, base, pb = data["name"], data["ell"], data["base"], data["pullback"]
+    t = tower(bouquet(3), ell, data["alpha"])
     inv = iwasawa_invariants(t)
-    diff.check("ex1 base mu", data["base"]["mu"], inv.mu)
-    diff.check("ex1 base lambda", data["base"]["lambda"], inv.lam)
-    seq = kappa_ord_sequence(t, 3, vertex_cap=vertex_cap())
-    for n, expected in data["base"]["kappa_ords"].items():
-        diff.check(f"ex1 base ord3(kappa_{n})", expected, seq[n][2])
-    fit = fit_iwasawa([row[2] for row in seq[1:]], 1, t.ell)
-    diff.check("ex1 base fit (mu,lambda,nu,n0)", data["base"]["fit"], fit)
+    diff.check(f"{name} base mu", base["mu"], inv.mu)
+    diff.check(f"{name} base lambda", base["lambda"], inv.lam)
+    if "series_prefix" in base:
+        f = characteristic_series(t, cap=max(base["series_prefix"]))
+        for k, expected in base["series_prefix"].items():
+            diff.check(f"{name} base f coefficient T^{k}", expected, f.coeffs[k])
+    seq = kappa_ord_sequence(t, max(base["kappa_ords"]), vertex_cap=vertex_cap())
+    for n, expected in base.get("kappa", {}).items():
+        diff.check(f"{name} base kappa_{n}", expected, seq[n][1])
+    for n, expected in base["kappa_ords"].items():
+        diff.check(f"{name} base ord{ell}(kappa_{n})", expected, seq[n][2])
+    diff.check(f"{name} base fit (mu,lambda,nu,n0)", base["fit"],
+               fit_iwasawa([seq[n][2] for n in base["kappa_ords"]],
+                           min(base["kappa_ords"]), ell))
 
-    G = product(cyclic(3), cyclic(3))
-    report = kida_verify(t, data["beta"], G)
-    pb = data["pullback"]
-    diff.check("ex1 pullback mu", pb["mu"], report.cover.mu)
-    diff.check("ex1 pullback lambda", pb["lambda"], report.cover.lam)
-    lam_plus, deg, base_plus = pb["kida"]
-    diff.check("ex1 kida identity",
-               f"{lam_plus} = {deg} * {base_plus}",
-               f"{report.cover.lam + 1} = {report.degree} * {report.base.lam + 1}")
-
-    from .voltage import voltage_assignment
-    va_beta = voltage_assignment(X, G, data["beta"])
-    yproj = derived_graph(va_beta).projection
-    lifted = lift_tower(t, yproj)
-    f = characteristic_series(lifted, cap=60)
-    for k, expected in pb["series_coeffs"].items():
-        diff.check(f"ex1 pullback f coefficient T^{k}", expected, f.coeffs[k])
-    diff.note("ex1 pullback series note", pb["series_note"])
-    first_unit = next(k for k, c in enumerate(f.coeffs) if c % 3 != 0)
-    diff.check("ex1 pullback first coefficient prime to 3 at",
-               pb["first_unit_index"], first_unit)
-
-    levels = pb["levels"] if max_level is None else min(max_level, pb["levels"])
-    pseq = kappa_ord_sequence(lift_tower(t, yproj), levels,
-                              vertex_cap=vertex_cap())
-    for n in range(levels + 1):
-        diff.check(f"ex1 pullback ord3(kappa_{n})", pb["kappa_ords"][n], pseq[n][2])
-        diff.check(f"ex1 pullback kappa_{n}", pb["kappa"][n], pseq[n][1])
-
-
-def _run_ex2(diff: Diff, max_level: int | None) -> None:
-    data = refdata.EX2
-    X = bouquet(3)
-    t = tower(X, data["ell"], data["alpha"])
-    inv = iwasawa_invariants(t)
-    diff.check("ex2 base mu", data["base"]["mu"], inv.mu)
-    diff.check("ex2 base lambda", data["base"]["lambda"], inv.lam)
-    f = characteristic_series(t, cap=8)
-    for k, expected in data["base"]["series_prefix"].items():
-        diff.check(f"ex2 base f coefficient T^{k}", expected, f.coeffs[k])
-    seq = kappa_ord_sequence(t, 4, vertex_cap=vertex_cap())
-    for n, expected in data["base"]["kappa"].items():
-        diff.check(f"ex2 base kappa_{n}", expected, seq[n][1])
-    for n, expected in data["base"]["kappa_ords"].items():
-        diff.check(f"ex2 base ord2(kappa_{n})", expected, seq[n][2])
-    diff.check("ex2 base fit (mu,lambda,nu,n0)", data["base"]["fit"],
-               fit_iwasawa([row[2] for row in seq], 0, t.ell))
-
-    from .specio import parse_element
-    G = dihedral_8()
-    beta = {eid: parse_element(G, word) for eid, word in data["beta"].items()}
+    G = group_from_spec(data["group"])
+    beta = {eid: parse_element(G, b) if isinstance(b, str) else b
+            for eid, b in data["beta"].items()}
     report = kida_verify(t, beta, G)
-    pb = data["pullback"]
-    diff.check("ex2 pullback mu", pb["mu"], report.cover.mu)
-    diff.check("ex2 pullback lambda", pb["lambda"], report.cover.lam)
+    diff.check(f"{name} pullback mu", pb["mu"], report.cover.mu)
+    diff.check(f"{name} pullback lambda", pb["lambda"], report.cover.lam)
     lam_plus, deg, base_plus = pb["kida"]
-    diff.check("ex2 kida identity",
+    diff.check(f"{name} kida identity",
                f"{lam_plus} = {deg} * {base_plus}",
                f"{report.cover.lam + 1} = {report.degree} * {report.base.lam + 1}")
 
-    from .voltage import voltage_assignment
-    va_beta = voltage_assignment(X, G, beta)
-    yproj = derived_graph(va_beta).projection
-    lifted = lift_tower(t, yproj)
-    f = characteristic_series(lifted, cap=20)
+    lifted = lift_tower(t, derived_graph(voltage_assignment(t.graph, G, beta)).projection)
+    f = characteristic_series(lifted, cap=pb["series_cap"])
     for k, expected in pb["series_coeffs"].items():
-        diff.check(f"ex2 pullback f coefficient T^{k}", expected, f.coeffs[k])
-    first_unit = next(k for k, c in enumerate(f.coeffs) if c % 2 != 0)
-    diff.check("ex2 pullback first odd coefficient at",
-               pb["first_unit_index"], first_unit)
+        diff.check(f"{name} pullback f coefficient T^{k}", expected, f.coeffs[k])
+    if "series_note" in pb:
+        diff.note(f"{name} pullback series note", pb["series_note"])
+    first_unit = next(k for k, c in enumerate(f.coeffs) if c % ell != 0)
+    label = "first odd coefficient" if ell == 2 else f"first coefficient prime to {ell}"
+    diff.check(f"{name} pullback {label} at", pb["first_unit_index"], first_unit)
 
     levels = pb["levels"] if max_level is None else min(max_level, pb["levels"])
     pseq = kappa_ord_sequence(lifted, levels, vertex_cap=vertex_cap())
     for n in range(levels + 1):
-        diff.check(f"ex2 pullback ord2(kappa_{n})", pb["kappa_ords"][n], pseq[n][2])
-        diff.check(f"ex2 pullback kappa_{n}", pb["kappa"][n], pseq[n][1])
-    if levels >= 4:
-        diff.check("ex2 pullback fit (mu,lambda,nu,n0)", pb["fit"],
-                   fit_iwasawa([row[2] for row in pseq], 0, t.ell))
+        diff.check(f"{name} pullback ord{ell}(kappa_{n})", pb["kappa_ords"][n], pseq[n][2])
+        diff.check(f"{name} pullback kappa_{n}", pb["kappa"][n], pseq[n][1])
+    if "fit" in pb and levels >= pb["fit"][3] + 2:
+        diff.check(f"{name} pullback fit (mu,lambda,nu,n0)", pb["fit"],
+                   fit_iwasawa([row[2] for row in pseq], 0, ell))
 
 
-def _run_sl2(diff: Diff, max_level: int | None) -> None:
-    data = refdata.SL2
+def _run_sl2(data: dict, diff: Diff, max_level: int | None) -> None:
     X = bouquet(4)
     t = tower(X, data["ell"], {"s1": 0, "s2": 0, "s3": 0, "s4": 1})
     f = characteristic_series(t, cap=12)
@@ -276,12 +232,15 @@ def _run_sl2(diff: Diff, max_level: int | None) -> None:
 
 
 def cmd_examples(args) -> int:
-    runners = {"ex1": _run_ex1, "ex2": _run_ex2, "sl2": _run_sl2}
+    if args.level is not None and args.level < 0:
+        raise ValidationError("level must be >= 0")
+    runners = {"ex1": _run_pullback_example, "ex2": _run_pullback_example,
+               "sl2": _run_sl2}
     diff = Diff()
     for name in args.names:
         if name not in runners:
             raise ValidationError(f"unknown example {name!r}; choose from ex1, ex2, sl2")
-        runners[name](diff, args.level)
+        runners[name](refdata.BY_NAME[name], diff, args.level)
     if args.json:
         print(json.dumps({"checks": diff.rows, "pass": diff.ok},
                          indent=2, sort_keys=True))

@@ -59,12 +59,6 @@ class Multigraph:
     def valency(self, i: int) -> int:
         return len(self._out_edges[i])
 
-    def undirected_of(self, d: int) -> int:
-        return d >> 1
-
-    def directed_of(self, k: int, reverse: bool = False) -> int:
-        return 2 * k + (1 if reverse else 0)
-
     def endpoints(self, d: int) -> tuple:
         return self.origin[d], self.terminus[d]
 

@@ -36,8 +36,9 @@ from .numtheory import is_prime, ord_factorial, ord_int, prime_power_exponent
 from .series import (PadicTruncated, TruncatedPowerSeries, binomial_coefficients,
                      binomial_residues, binomial_series, mu_lambda,
                      ring_determinant, truncated_determinant)
-from .voltage import (CoverMap, DerivedGraph, VoltageAssignment, derived_graph,
-                      voltage_assignment, voltage_connectedness)
+from .voltage import (CoverMap, DerivedGraph, VoltageAssignment, combined_voltage,
+                      derived_graph, lift_voltages, voltage_assignment,
+                      voltage_connectedness)
 
 DEFAULT_CAP = 64
 MAX_CAP = 2048
@@ -546,12 +547,8 @@ def lift_tower(t: Tower, p: CoverMap) -> Tower:
     for source, edge_map, lifted in lifts:
         if edge_map == p.edge_map and source == p.source:
             return lifted
-    chosen = set(t.orientation.edges)
-    lifted = tuple(d for d in range(p.source.directed_edge_count)
-                   if p.edge_map[d] in chosen)
-    values = {d: t.values[p.edge_map[d]] for d in lifted}
-    out = Tower(graph=p.source, orientation=Orientation(lifted),
-                ell=t.ell, values=values)
+    orientation, values = lift_voltages(p, t.orientation, t.values)
+    out = Tower(graph=p.source, orientation=orientation, ell=t.ell, values=values)
     lifts.append((p.source, p.edge_map, out))
     return out
 
@@ -563,12 +560,8 @@ def certify_pullback_connected(t: Tower, va_beta: VoltageAssignment) -> tuple:
     on m >= 1, so by the Burnside basis theorem one generation check at
     m = 1 certifies the whole tower.  Returns (ok, generated subgroup).
     """
-    G = va_beta.group
-    combined_group = product(G, cyclic(t.ell))
-    values = {d: (va_beta.values[d], t.value_mod(d, 1)) for d in t.orientation}
-    va = VoltageAssignment(graph=t.graph, orientation=t.orientation,
-                           group=combined_group, values=values)
-    return voltage_connectedness(va)
+    return voltage_connectedness(combined_voltage(
+        va_beta, level_assignment(t, 1), product(va_beta.group, level_group(t, 1))))
 
 
 @dataclass(frozen=True)
@@ -772,11 +765,8 @@ def uniform_tower_check(ell: int, level: int, explicit_m: int = 2,
 
     checked = []
     for m in range(1, explicit_m + 1):
-        Gm = product(G, cyclic(ell ** m))
-        values = {d: (va.values[d], t.value_mod(d, m)) for d in t.orientation}
-        va_m = VoltageAssignment(graph=X, orientation=t.orientation,
-                                 group=Gm, values=values)
-        ok, _ = voltage_connectedness(va_m)
+        ok, _ = voltage_connectedness(combined_voltage(
+            va, level_assignment(t, m), product(G, level_group(t, m))))
         if not ok:
             raise DisconnectedError(
                 f"combined tower stage (n={level}, m={m}) is disconnected")

@@ -12,6 +12,9 @@ circulates for this example is the T^4 coefficient of the neighbouring
 cover with beta(s3) = beta(s2); that cover shares every other frozen
 pullback value below (T^2, T^3, the first unit index, mu, lambda, kappa_0
 to kappa_3 and the Kida identity).  See the note attached to the entry.
+
+EX1 and EX2 name their beta group in specio.group_from_spec form; a
+string beta is an element spec read with specio.parse_element.
 """
 
 EX1 = {
@@ -19,6 +22,8 @@ EX1 = {
     "title": "bouquet B3, ell = 3, voltages (1, 4, 20); pullback along Z/3 x Z/3",
     "ell": 3,
     "alpha": {"s1": 1, "s2": 4, "s3": 20},
+    "group": {"type": "product",
+              "factors": [{"type": "cyclic", "order": 3}, {"type": "cyclic", "order": 3}]},
     "beta": {"s1": (1, 0), "s2": (0, 1), "s3": (1, 0)},
     "base": {
         "mu": 0,
@@ -27,6 +32,7 @@ EX1 = {
         "fit": (0, 5, -2, 1),                     # (mu, lambda, nu, n0)
     },
     "pullback": {
+        "series_cap": 60,
         "series_coeffs": {2: -886443588, 3: 886443588, 4: -925711173},
         "series_note": ("T^4 coefficient of this cover, beta(s3) = beta(s1); "
                         "the value -7697155248 sometimes quoted for this "
@@ -53,6 +59,7 @@ EX2 = {
     "title": "bouquet B3, ell = 2, voltages (1, 1, 1); pullback along D8",
     "ell": 2,
     "alpha": {"s1": 1, "s2": 1, "s3": 1},
+    "group": {"type": "dihedral8"},
     "beta": {"s1": "r", "s2": "t", "s3": "1"},
     "base": {
         "mu": 0,
@@ -63,6 +70,7 @@ EX2 = {
         "fit": (0, 1, 0, 0),
     },
     "pullback": {
+        "series_cap": 20,
         "series_coeffs": {2: -55296, 3: 55296, 4: 39168},
         "first_unit_index": 16,
         "mu": 0,

@@ -96,9 +96,6 @@ class CoverMap:
                 raise ValidationError(
                     f"morphism breaks the involution at {s.edge_label(d)}")
 
-    def vertex_image(self, i: int) -> int:
-        return self.vertex_map[i]
-
     def fiber(self, target_vertex: int) -> list:
         return [i for i, v in enumerate(self.vertex_map) if v == target_vertex]
 
@@ -375,20 +372,25 @@ def identity_cover(graph: Multigraph) -> CoverMap:
                     edge_map=tuple(range(graph.directed_edge_count)))
 
 
+def lift_voltages(p: CoverMap, orientation: Orientation, values: Mapping) -> tuple:
+    """Pull an orientation and its edge values back along p.
+
+    The orientation upstairs is p^(-1)(S) and each lifted edge carries the
+    value of its image.  Returns (orientation, values).
+    """
+    chosen = set(orientation.edges)
+    lifted = tuple(d for d in range(p.source.directed_edge_count)
+                   if p.edge_map[d] in chosen)
+    return Orientation(lifted), {d: values[p.edge_map[d]] for d in lifted}
+
+
 def pullback_voltage(p: CoverMap, base_orientation: Orientation,
                      base_values: dict, group: FiniteGroup) -> VoltageAssignment:
-    """Transport a voltage assignment along an edge-surjective morphism.
-
-    The orientation upstairs is the preimage of the one downstairs and each
-    lifted edge carries the voltage of its image.
-    """
+    """Transport a voltage assignment along an edge-surjective morphism (lift_voltages)."""
     if set(p.edge_map) != set(range(p.target.directed_edge_count)):
         raise ValidationError("morphism must be surjective on directed edges")
-    chosen = set(base_orientation.edges)
-    lifted_edges = tuple(d for d in range(p.source.directed_edge_count)
-                         if p.edge_map[d] in chosen)
-    values = {d: base_values[p.edge_map[d]] for d in lifted_edges}
-    return VoltageAssignment(graph=p.source, orientation=Orientation(lifted_edges),
+    orientation, values = lift_voltages(p, base_orientation, base_values)
+    return VoltageAssignment(graph=p.source, orientation=orientation,
                              group=group, values=values)
 
 
@@ -422,8 +424,7 @@ def verify_combined_iso(va_beta: VoltageAssignment, va_alpha: VoltageAssignment)
                                               group_product(G2, G1)))
     upstairs = derived_graph(va_beta)
     lifted = pullback_voltage(upstairs.projection, va_alpha.orientation,
-                              {d: va_alpha.values[d] for d in va_alpha.orientation},
-                              G1)
+                              va_alpha.values, G1)
     big = derived_graph(lifted)
 
     def relabel(v):

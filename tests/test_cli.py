@@ -17,6 +17,43 @@ def spec_path(name):
     return os.path.join(SPECS, name)
 
 
+# Row names of `giwa examples --json`, in order; the benchmark looks rows up by name.
+EX1_ROWS = [
+    "ex1 base mu", "ex1 base lambda", "ex1 base ord3(kappa_1)", "ex1 base ord3(kappa_2)",
+    "ex1 base ord3(kappa_3)", "ex1 base fit (mu,lambda,nu,n0)", "ex1 pullback mu",
+    "ex1 pullback lambda", "ex1 kida identity", "ex1 pullback f coefficient T^2",
+    "ex1 pullback f coefficient T^3", "ex1 pullback f coefficient T^4",
+    "ex1 pullback series note", "ex1 pullback first coefficient prime to 3 at",
+    "ex1 pullback ord3(kappa_0)", "ex1 pullback kappa_0", "ex1 pullback ord3(kappa_1)",
+    "ex1 pullback kappa_1", "ex1 pullback ord3(kappa_2)", "ex1 pullback kappa_2",
+    "ex1 pullback ord3(kappa_3)", "ex1 pullback kappa_3",
+]
+EX2_BASE_ROWS = [
+    "ex2 base mu", "ex2 base lambda", "ex2 base f coefficient T^2",
+    "ex2 base f coefficient T^3", "ex2 base f coefficient T^4",
+    "ex2 base f coefficient T^5", "ex2 base kappa_1", "ex2 base kappa_2",
+    "ex2 base kappa_3", "ex2 base kappa_4", "ex2 base ord2(kappa_0)",
+    "ex2 base ord2(kappa_1)", "ex2 base ord2(kappa_2)", "ex2 base ord2(kappa_3)",
+    "ex2 base ord2(kappa_4)", "ex2 base fit (mu,lambda,nu,n0)",
+]
+EX2_PULLBACK_ROWS = [
+    "ex2 pullback mu", "ex2 pullback lambda", "ex2 kida identity",
+    "ex2 pullback f coefficient T^2", "ex2 pullback f coefficient T^3",
+    "ex2 pullback f coefficient T^4", "ex2 pullback first odd coefficient at",
+    "ex2 pullback ord2(kappa_0)", "ex2 pullback kappa_0", "ex2 pullback ord2(kappa_1)",
+    "ex2 pullback kappa_1", "ex2 pullback ord2(kappa_2)", "ex2 pullback kappa_2",
+    "ex2 pullback ord2(kappa_3)", "ex2 pullback kappa_3", "ex2 pullback ord2(kappa_4)",
+    "ex2 pullback kappa_4", "ex2 pullback fit (mu,lambda,nu,n0)",
+]
+SL2_ROWS = [f"sl2 base f coefficient T^{k}" for k in range(2, 11)] + [
+    "sl2 base mu", "sl2 base lambda",
+    "sl2 level 0 mu", "sl2 level 0 lambda", "sl2 level 0 growth formula",
+    "sl2 level 0 connectedness certified",
+    "sl2 level 1 mu", "sl2 level 1 lambda", "sl2 level 1 growth formula",
+    "sl2 level 1 connectedness certified",
+]
+
+
 class TestSpecIO:
     def test_graph_spec(self):
         g = graph_from_spec({"vertices": ["a", "b"],
@@ -244,6 +281,27 @@ class TestExamplesCommand:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "all checks passed" in proc.stdout
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "sl2"])
+    def test_negative_level_exits_2(self, capsys, name):
+        code = main(["examples", name, "--level", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "level must be >= 0" in captured.err
+
+    @staticmethod
+    def check_names(capsys, argv):
+        assert main(["examples", *argv, "--json"]) == 0
+        return [row["check"] for row in json.loads(capsys.readouterr().out)["checks"]]
+
+    def test_all_example_rows_in_order(self, capsys):
+        assert self.check_names(capsys, ["ex1", "ex2", "sl2"]) == (
+            EX1_ROWS + EX2_BASE_ROWS + EX2_PULLBACK_ROWS + SL2_ROWS)
+
+    def test_shallow_ex2_rows_in_order(self, capsys):
+        assert self.check_names(capsys, ["ex2", "--level", "2"]) == (
+            EX2_BASE_ROWS + EX2_PULLBACK_ROWS[:13])
 
 
 class TestChecksExampleTwoLevelOne:
