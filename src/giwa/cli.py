@@ -236,10 +236,11 @@ def cmd_examples(args) -> int:
         raise ValidationError("level must be >= 0")
     runners = {"ex1": _run_pullback_example, "ex2": _run_pullback_example,
                "sl2": _run_sl2}
-    diff = Diff()
     for name in args.names:
         if name not in runners:
             raise ValidationError(f"unknown example {name!r}; choose from ex1, ex2, sl2")
+    diff = Diff()
+    for name in args.names:
         runners[name](refdata.BY_NAME[name], diff, args.level)
     if args.json:
         print(json.dumps({"checks": diff.rows, "pass": diff.ok},

@@ -256,6 +256,11 @@ def _reduce_mod_phi(coeffs: list, m: int) -> list:
     return rem
 
 
+def as_integer(c) -> int:
+    """An int, or a CyclotomicElement that is a rational integer, as an int."""
+    return c.as_int() if isinstance(c, CyclotomicElement) else c
+
+
 def zeta(m: int, power: int = 1) -> CyclotomicElement:
     return CyclotomicElement.zeta(m, power)
 

@@ -26,7 +26,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .characters import Character, all_characters
-from .cyclotomic import CyclotomicElement
+from .cyclotomic import CyclotomicElement, as_integer
 from .errors import (DisconnectedError, GiwaError, PrecisionError,
                      ResourceLimitError, UnsupportedError, ValidationError)
 from .graphs import (Multigraph, Orientation, bareiss_determinant,
@@ -235,9 +235,7 @@ def _laurent_determinant(t: Tower, n: int | None = None) -> LaurentDeterminant:
     (-ell^n/2, ell^n/2].  The second gives the same det L(zeta) =
     P(zeta)/zeta^K at every ell^n-th root of unity, is never of larger
     degree, and needs only the voltages mod ell^n, so truncated voltages
-    have one too.  P is one Bareiss determinant at u = 2^B, read as signed
-    base-2^B digits: on |u| = 1, |P| <= H (Hadamard) and each coefficient is
-    a mean of P(u) u^(-k), so |coefficient| <= H < 2^(B-2) (see _slot_bits).
+    have one too.  P is read off one determinant (see kronecker_determinant).
     """
     if n is None:
         values = t.values
@@ -247,12 +245,22 @@ def _laurent_determinant(t: Tower, n: int | None = None) -> LaurentDeterminant:
         for d in t.orientation:
             r = t.value_mod(d, n)
             values[d] = r - mod if 2 * r > mod else r
-    ent = _laurent_matrix(t, values)
+    coeffs, shift = kronecker_determinant(_laurent_matrix(t, values))
+    return LaurentDeterminant(coeffs=coeffs, shift=shift)
+
+
+def kronecker_determinant(ent: list) -> tuple:
+    """(P's coefficients, K) with det(ent) = P(u) / u^K, for a square matrix
+    of integer Laurent polynomials {exponent: coeff} in u.  P is one Bareiss
+    determinant at u = 2^B, read as signed base-2^B digits: on |u| = 1,
+    |P| <= H (Hadamard) and each coefficient is a mean of P(u) u^(-k), so
+    |coefficient| <= H < 2^(B-2) (see _slot_bits).
+    """
     slot = _slot_bits(ent)
     shift = degbound = 0
     M = []
     for row in ent:
-        row_shift = -min(min(d, default=0) for d in row)   # the diagonal holds u^0
+        row_shift = -min(min(d, default=0) for d in row)
         shift += row_shift
         degbound += max(max(d, default=0) for d in row) + row_shift
         M.append([sum(c << slot * (e + row_shift) for e, c in d.items()) for d in row])
@@ -263,7 +271,7 @@ def _laurent_determinant(t: Tower, n: int | None = None) -> LaurentDeterminant:
     coeffs = [int(bits[k - slot:k], 2) - half for k in range(len(bits), 0, -slot)]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
-    return LaurentDeterminant(coeffs=tuple(coeffs), shift=shift)
+    return tuple(coeffs), shift
 
 
 def _slot_bits(ent: list) -> int:
@@ -564,6 +572,22 @@ def certify_pullback_connected(t: Tower, va_beta: VoltageAssignment) -> tuple:
         va_beta, level_assignment(t, 1), product(va_beta.group, level_group(t, 1))))
 
 
+def _certified_pullback(t: Tower, beta_by_edge_id: Mapping, group: FiniteGroup) -> tuple:
+    """(beta's assignment, lifted tower), or DisconnectedError unless the cover
+    X(G, S, beta) and every level of the pullback tower are connected."""
+    va_beta = voltage_assignment(t.graph, group, dict(beta_by_edge_id),
+                                 t.orientation)
+    connected, _ = voltage_connectedness(va_beta)
+    if not connected:
+        raise DisconnectedError("the covering graph X(G, S, beta) is disconnected")
+    ok, generated = certify_pullback_connected(t, va_beta)
+    if not ok:
+        raise DisconnectedError(
+            f"pullback tower disconnected: combined voltages generate "
+            f"{len(generated)} of {group.order * t.ell} elements")
+    return va_beta, lift_tower(t, derived_graph(va_beta).projection)
+
+
 @dataclass(frozen=True)
 class KidaReport:
     degree: int
@@ -597,19 +621,8 @@ def kida_verify(t: Tower, beta_by_edge_id: Mapping, group: FiniteGroup) -> KidaR
     if prime_power_exponent(group.order, t.ell) is None:
         raise ValidationError(
             f"|G| = {group.order} is not a power of ell = {t.ell}")
-    va_beta = voltage_assignment(t.graph, group, dict(beta_by_edge_id),
-                                 t.orientation)
-    upstairs = derived_graph(va_beta)
-    connected, _ = voltage_connectedness(va_beta)
-    if not connected:
-        raise DisconnectedError("the covering graph X(G, S, beta) is disconnected")
-    ok, generated = certify_pullback_connected(t, va_beta)
-    if not ok:
-        raise DisconnectedError(
-            f"pullback tower disconnected: combined voltages generate "
-            f"{len(generated)} of {group.order * t.ell} elements")
+    _, lifted = _certified_pullback(t, beta_by_edge_id, group)
     base_inv = iwasawa_invariants(t)
-    lifted = lift_tower(t, upstairs.projection)
     cover_inv = iwasawa_invariants(lifted)
     mu_equiv = (base_inv.mu == 0) == (cover_inv.mu == 0)
     if base_inv.mu == 0:
@@ -673,26 +686,12 @@ def factorization_check(t: Tower, beta_by_edge_id: Mapping,
     lambda identity rests on.  The product is computed in Z[zeta_ell] and
     must collapse to rational integers.
     """
-    G = cyclic(t.ell)
-    va_beta = voltage_assignment(t.graph, G, dict(beta_by_edge_id), t.orientation)
-    connected, _ = voltage_connectedness(va_beta)
-    if not connected:
-        raise DisconnectedError("X(Z/ell, S, beta) must be connected")
-    ok, _ = certify_pullback_connected(t, va_beta)
-    if not ok:
-        raise DisconnectedError("pullback tower has disconnected levels")
-    upstairs = derived_graph(va_beta)
-    lhs = characteristic_series(lift_tower(t, upstairs.projection), cap)
+    va_beta, lifted = _certified_pullback(t, beta_by_edge_id, cyclic(t.ell))
+    lhs = characteristic_series(lifted, cap)
     rhs = TruncatedPowerSeries.one(cap)
-    for psi in all_characters(G):
+    for psi in all_characters(va_beta.group):
         rhs = rhs * twisted_characteristic_series(t, va_beta, psi, cap)
-    ints = []
-    for c in rhs.coeffs:
-        if isinstance(c, CyclotomicElement):
-            ints.append(c.as_int())
-        else:
-            ints.append(c)
-    rhs_int = TruncatedPowerSeries(ints)
+    rhs_int = TruncatedPowerSeries([as_integer(c) for c in rhs.coeffs])
     return FactorizationReport(cap=cap, passed=lhs == rhs_int, lhs=lhs, rhs=rhs_int)
 
 

@@ -5,6 +5,8 @@ L-function of an abelian cover; the trivial character gives the reciprocal
 Ihara zeta function up to the factor (1 - u^2)^(-chi).  The identities
 checked here are exact: the Artin product decomposition, Hashimoto's
 derivative formula h'(1) = -2 chi kappa, and the class number formula.
+Every h-polynomial, over Z or Z[zeta], is one Kronecker-substituted Bareiss
+determinant, the kernel that also gives a tower's P (see h_polynomial).
 """
 
 from __future__ import annotations
@@ -12,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .characters import Character, all_characters
-from .cyclotomic import CyclotomicElement
+from .cyclotomic import CyclotomicElement, as_integer, euler_phi
 from .errors import DisconnectedError, UnsupportedError, ValidationError
-from .graphs import (Multigraph, bareiss_determinant, euler_characteristic,
+from .graphs import (Multigraph, euler_characteristic,
                      is_connected, matrices, spanning_tree_count)
-from .polys import Poly, interpolate_at_integers
-from .series import ring_determinant
+from .iwasawa import kronecker_determinant
+from .polys import Poly
 from .voltage import VoltageAssignment, derived_graph
 
 
@@ -48,30 +50,32 @@ def twisted_adjacency(va: VoltageAssignment, psi: Character) -> list:
 def h_polynomial(D: list, A: list) -> Poly:
     """det(I - A u + (D - I) u^2) as an exact polynomial in u.
 
-    Integer matrices go through evaluation at 2g + 1 integer points and
-    Newton interpolation; cyclotomic matrices use the division-free
-    determinant over the polynomial ring directly.
+    zeta_m is read as a second variable x (m = 1 for integer A): u^k x^e
+    becomes y^(k w + e), w = g (phi(m) - 1) + 1, and one Kronecker determinant
+    in y (iwasawa.kronecker_determinant) has x-degree below w, so its
+    coefficients in blocks of w are the u-coefficients, reduced mod Phi_m.
     """
     g = len(D)
     if any(len(row) != g for row in D) or len(A) != g or any(len(r) != g for r in A):
         raise ValidationError("matrix dimensions do not match")
     if g == 0:
         return Poly([1])
-    all_int = all(isinstance(A[i][j], int) for i in range(g) for j in range(g))
-    if all_int:
-        samples = []
-        for t in range(2 * g + 1):
-            M = [[(1 if i == j else 0) - A[i][j] * t
-                  + (D[i][j] - (1 if i == j else 0)) * t * t
-                  for j in range(g)] for i in range(g)]
-            samples.append(bareiss_determinant(M))
-        return Poly(interpolate_at_integers(samples))
-    u = Poly.x()
-    u2 = u * u
-    M = [[(1 if i == j else 0) - Poly.constant(A[i][j]) * u
-          + (D[i][j] - (1 if i == j else 0)) * u2
-          for j in range(g)] for i in range(g)]
-    return ring_determinant(M)
+    conductors = {x.m for row in A for x in row if isinstance(x, CyclotomicElement)}
+    if len(conductors) > 1:
+        raise ValidationError(f"mixed cyclotomic conductors {sorted(conductors)}")
+    m = conductors.pop() if conductors else 1
+    w = g * (euler_phi(m) - 1) + 1
+    ent = [[{0: 1} if i == j else {} for j in range(g)] for i in range(g)]
+    for i in range(g):
+        for j in range(g):
+            for k, x in ((1, -A[i][j]), (2, D[i][j] - (i == j))):
+                for e, c in enumerate(x.coords if isinstance(x, CyclotomicElement) else [x]):
+                    if c:
+                        ent[i][j][k * w + e] = c
+    coeffs, _ = kronecker_determinant(ent)     # K = 0: every row holds y^0
+    if m == 1:
+        return Poly(coeffs)
+    return Poly([CyclotomicElement(m, coeffs[k:k + w]) for k in range(0, len(coeffs), w)])
 
 
 def h_of_graph(graph: Multigraph) -> Poly:
@@ -125,16 +129,6 @@ def hashimoto_check(graph: Multigraph) -> IdentityReport:
     return IdentityReport("h'(1) = -2*chi*kappa", lhs, rhs, lhs == rhs)
 
 
-def _cyclo_poly_to_int(p: Poly) -> Poly:
-    out = []
-    for c in p.coeffs:
-        if isinstance(c, CyclotomicElement):
-            out.append(c.as_int())
-        else:
-            out.append(c)
-    return Poly(out)
-
-
 def artin_product_check(va: VoltageAssignment) -> IdentityReport:
     """h_Y(u) = h_X(u) * prod over nontrivial psi of h(u, psi), exactly.
 
@@ -153,7 +147,7 @@ def artin_product_check(va: VoltageAssignment) -> IdentityReport:
         if psi.is_trivial:
             continue
         rhs = rhs * h_twisted(va, psi)
-    rhs = _cyclo_poly_to_int(rhs)
+    rhs = Poly([as_integer(c) for c in rhs.coeffs])
     return IdentityReport("h_Y = h_X * prod h(u,psi)", lhs, rhs, lhs == rhs)
 
 
@@ -178,8 +172,7 @@ def class_number_check(va: VoltageAssignment) -> IdentityReport:
         if psi.is_trivial:
             continue
         prod = prod * h_twisted(va, psi)(1)
-    if isinstance(prod, CyclotomicElement):
-        prod = prod.as_int()
+    prod = as_integer(prod)
     lhs = va.group.order * kappa_y
     rhs = kappa_x * prod
     return IdentityReport("|G|*kappa_Y = kappa_X * prod h(1,psi)", lhs, rhs, lhs == rhs)

@@ -1,8 +1,9 @@
 """Dense polynomials in one variable over exact coefficient rings.
 
 Used for the h-polynomials det(I - A_psi u + (D-I)u^2), whose coefficients
-are rational or cyclotomic integers, and for the Newton interpolation that
-recovers the integer h-polynomials from point evaluations.
+are rational or cyclotomic integers.  Newton interpolation at the integers
+(interpolate_at_integers) computes nothing in the package any more: it is the
+tests' oracle for the Kronecker determinants, and a hook of bench/tracing.py.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ class Poly:
         if not c:
             c = [0]
         self.coeffs = tuple(c)
-
-    @staticmethod
-    def constant(value) -> "Poly":
-        return Poly([value])
 
     @staticmethod
     def x(degree: int = 1) -> "Poly":

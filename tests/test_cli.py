@@ -268,6 +268,23 @@ class TestExamplesCommand:
     def test_unknown_example(self, capsys):
         assert main(["examples", "nope"]) == 2
 
+    def test_unknown_name_refused_before_any_runner(self, capsys, monkeypatch):
+        import giwa.iwasawa
+        real = giwa.iwasawa._laurent_determinant
+        built = []
+
+        def counting(t, *args):
+            built.append(t.graph.vertex_count)
+            return real(t, *args)
+
+        monkeypatch.setattr(giwa.iwasawa, "_laurent_determinant", counting)
+        assert main(["examples", "ex1", "nope"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: unknown example 'nope'; "
+                                "choose from ex1, ex2, sl2\n")
+        assert built == []
+
     def test_vertex_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("GIWA_VERTEX_CAP", "10")
         code = main(["examples", "ex1"])

@@ -1,18 +1,25 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import giwa.graphs
+import giwa.polys
+import giwa.series
 from giwa import (CyclotomicElement, ValidationError, artin_product_check,
-                  bouquet, build_multigraph, class_number_check, cyclic,
-                  cycle_graph, derived_graph, dihedral_8, euler_characteristic,
-                  h_of_graph, h_twisted, hashimoto_check,
-                  ihara_zeta_inverse, is_connected, matrices, product,
-                  spanning_tree_count, twisted_adjacency, voltage_assignment)
+                  bareiss_determinant, bouquet, build_multigraph,
+                  class_number_check, cyclic, cycle_graph, derived_graph,
+                  dihedral_8, euler_characteristic, h_of_graph, h_twisted,
+                  hashimoto_check, ihara_zeta_inverse, is_connected, matrices,
+                  product, spanning_tree_count, twisted_adjacency,
+                  voltage_assignment)
 from giwa.characters import all_characters, trivial_character
 from giwa.errors import UnsupportedError
-from giwa.polys import Poly
-from giwa.series import cofactor_determinant
+from giwa.lfunctions import h_polynomial
+from giwa.polys import Poly, interpolate_at_integers
+from giwa.series import cofactor_determinant, ring_determinant
 
 
 def ex1_level_one():
@@ -92,6 +99,89 @@ class TestHPolynomial:
     def test_bouquet_three_closed_form(self):
         # one vertex of valency six: h = 1 - 6u + 5u^2
         assert h_of_graph(bouquet(3)) == Poly([1, -6, 5])
+
+
+def replaced_h_polynomial(D, A):
+    """The two routes the one Kronecker determinant replaced: over Z, 2g + 1
+    Bareiss evaluations and Newton interpolation; over Z[zeta], Berkowitz
+    over polynomials with cyclotomic coefficients."""
+    g = len(D)
+
+    def matrix(u, u2):
+        return [[(1 if i == j else 0) - u * A[i][j] + u2 * (D[i][j] - (1 if i == j else 0))
+                 for j in range(g)] for i in range(g)]
+
+    if all(isinstance(x, int) for row in A for x in row):
+        return Poly(interpolate_at_integers(
+            [bareiss_determinant(matrix(t, t * t)) for t in range(2 * g + 1)]))
+    return ring_determinant(matrix(Poly.x(), Poly.x(2)))
+
+
+@st.composite
+def twisted_covers(draw):
+    """A multigraph on 1 to 6 vertices with loops and parallel edges, and
+    voltages in Z/ell^k (k <= 3) or Z/ell x Z/ell.  Z/125 keeps to two
+    vertices, where the replaced Z[zeta] route stays under a second."""
+    ell = draw(st.sampled_from([2, 3, 5]))
+    k = draw(st.sampled_from([1, 2, 3, "cc"]))
+    G = product(cyclic(ell), cyclic(ell)) if k == "cc" else cyclic(ell ** k)
+    n_vertices = draw(st.integers(1, 2 if G.order == 125 else 6))
+    verts = [f"v{i}" for i in range(n_vertices)]
+    edges = [(draw(st.sampled_from(verts)), draw(st.sampled_from(verts)), f"e{j}")
+             for j in range(draw(st.integers(0, n_vertices + 3)))]
+    graph = build_multigraph(verts, edges)
+    return voltage_assignment(graph, G, {eid: draw(st.sampled_from(G.elements))
+                                         for _u, _v, eid in edges})
+
+
+class TestOneKroneckerDeterminant:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(twisted_covers())
+    def test_matches_replaced_routes_for_every_character(self, va):
+        D, _, _ = matrices(va.graph)
+        for psi in all_characters(va.group):
+            A = twisted_adjacency(va, psi)
+            assert h_polynomial(D, A) == replaced_h_polynomial(D, A)
+
+    def counted(self, monkeypatch):
+        """Count calls of the determinant and interpolation routes, under
+        every name a giwa module looks them up by."""
+        calls = {}
+        for name, real in (("bareiss_determinant", giwa.graphs.bareiss_determinant),
+                           ("interpolate_at_integers", giwa.polys.interpolate_at_integers),
+                           ("ring_determinant", giwa.series.ring_determinant)):
+            calls[name] = 0
+
+            def counting(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            for modname, module in list(sys.modules.items()):
+                if modname.startswith("giwa") and getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("exponents", [(0,), (1,)], ids=["over Z", "over Z[zeta_9]"])
+    def test_one_bareiss_call_and_no_other_route(self, monkeypatch, exponents):
+        graph = build_multigraph(["a", "b"], [("a", "b", "s1"), ("a", "a", "s2"),
+                                              ("a", "b", "s3")])
+        va = voltage_assignment(graph, cyclic(9), {"s1": 1, "s2": 4, "s3": 0})
+        psi = next(p for p in all_characters(va.group) if p.exponents == exponents)
+        D, _, _ = matrices(va.graph)
+        A = twisted_adjacency(va, psi)
+        calls = self.counted(monkeypatch)
+        h_polynomial(D, A)
+        assert calls == {"bareiss_determinant": 1, "interpolate_at_integers": 0,
+                         "ring_determinant": 0}
+
+    def test_empty_matrix(self):
+        assert h_polynomial([], []) == Poly([1])
+
+    def test_two_conductors_refused(self):
+        A = [[CyclotomicElement.zeta(3), 0], [0, CyclotomicElement.zeta(4)]]
+        with pytest.raises(ValidationError, match="conductors"):
+            h_polynomial([[2, 0], [0, 2]], A)
 
 
 class TestIharaZeta:
