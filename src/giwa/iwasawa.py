@@ -14,8 +14,11 @@ root u = 1 of P/ell^mu over F_ell.
 
 Truncated ell-adic voltages take a Berkowitz determinant over
 (Z/ell^N)[T]/(T^(cap+1)) with packed-integer products
-(series.truncated_determinant), and windowed mu/lambda extraction with
-adaptive cap growth.
+(series.truncated_determinant) for their series.  Their mu and lambda, and
+those of the covers in uniform_tower_check, come from f mod ell instead:
+elimination over F_ell[T]/(T^(cap+1)) (series.truncated_valuation)
+certifies mu = 0 and lambda(f) once f mod ell has a nonzero coefficient
+through T^cap, with the cap doubled up to what the voltages fix.
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ from .errors import (DisconnectedError, GiwaError, PrecisionError,
 from .graphs import (Multigraph, Orientation, bareiss_determinant,
                      euler_characteristic, is_connected, spanning_tree_count)
 from .groups import FiniteGroup, cyclic, product
-from .numtheory import is_prime, ord_factorial, ord_int, prime_power_exponent
+from .numtheory import is_prime, ord_int, prime_power_exponent
 from .series import (PadicTruncated, TruncatedPowerSeries, binomial_coefficients,
-                     binomial_residues, binomial_series, mu_lambda,
-                     ring_determinant, truncated_determinant)
+                     binomial_mod_ell, binomial_residues, binomial_series,
+                     ring_determinant, truncated_determinant, truncated_valuation)
 from .voltage import (CoverMap, DerivedGraph, VoltageAssignment, combined_voltage,
                       derived_graph, lift_voltages, voltage_assignment,
                       voltage_connectedness)
@@ -257,13 +260,9 @@ def kronecker_determinant(ent: list) -> tuple:
     |coefficient| <= H < 2^(B-2) (see _slot_bits).
     """
     slot = _slot_bits(ent)
-    shift = degbound = 0
-    M = []
-    for row in ent:
-        row_shift = -min(min(d, default=0) for d in row)
-        shift += row_shift
-        degbound += max(max(d, default=0) for d in row) + row_shift
-        M.append([sum(c << slot * (e + row_shift) for e, c in d.items()) for d in row])
+    shifts, degbound = _degree_bound(ent)
+    M = [[sum(c << slot * (e + s) for e, c in d.items()) for d in row]
+         for row, s in zip(ent, shifts)]
     # P(2^B) plus half = 2^(B-1) in every digit, which puts each digit in [0, 2^B)
     half = 1 << (slot - 1)
     biased = bareiss_determinant(M) + int(("1" + "0" * (slot - 1)) * (degbound + 1), 2)
@@ -271,7 +270,16 @@ def kronecker_determinant(ent: list) -> tuple:
     coeffs = [int(bits[k - slot:k], 2) - half for k in range(len(bits), 0, -slot)]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
-    return tuple(coeffs), shift
+    return tuple(coeffs), sum(shifts)
+
+
+def _degree_bound(ent: list) -> tuple:
+    """(row shifts, D) for a matrix of Laurent polynomials {exponent: coeff}:
+    row i times u^(shift_i) is polynomial, and P = u^K det(ent), with K the
+    sum of the shifts, has degree at most D, the sum of the rows' spans."""
+    shifts = [-min(min(d, default=0) for d in row) for row in ent]
+    return shifts, sum(max(max(d, default=0) for d in row) + s
+                       for row, s in zip(ent, shifts))
 
 
 def _slot_bits(ent: list) -> int:
@@ -313,12 +321,38 @@ def characteristic_series(t: Tower, cap: int = DEFAULT_CAP) -> TruncatedPowerSer
     return _padic_characteristic_series(t, cap)
 
 
-def _padic_cap_limit(ell: int, precision: int) -> int:
-    """Largest cap leaving at least one certified digit after the k! division."""
-    m = 1
-    while ord_factorial(m + 1, ell) <= precision - 1:
-        m += 1
-    return m
+def _series_matrix(t: Tower, cap: int, entry) -> list:
+    """D - A_rho through T^cap, each entry a list of cap + 1 coefficients.
+
+    entry(a) gives the coefficients of (1+T)^a and of (1+T)^(-a) for a
+    voltage a, an int or a PadicTruncated residue of the tower's prime; the
+    entries of D - A_rho that stay zero share one list.
+    """
+    g = t.graph.vertex_count
+    cells = {}
+
+    def cell(i, j):
+        if (i, j) not in cells:
+            cells[i, j] = [0] * (cap + 1)
+        return cells[i, j]
+
+    for s in t.orientation:
+        a = t.values[s]
+        if not isinstance(a, int):
+            if not isinstance(a, PadicTruncated):
+                raise UnsupportedError(f"unsupported exponent type {type(a).__name__}")
+            if a.ell != t.ell:
+                raise ValidationError("mixed primes in p-adic arithmetic")
+        i, j = t.graph.origin[s], t.graph.terminus[s]
+        forward, backward = entry(a)
+        cell(i, i)[0] += 1
+        cell(j, j)[0] += 1
+        out, back = cell(i, j), cell(j, i)
+        for k in range(cap + 1):
+            out[k] -= forward[k]
+            back[k] -= backward[k]
+    zero = [0] * (cap + 1)
+    return [[cells.get((i, j), zero) for j in range(g)] for i in range(g)]
 
 
 def _padic_characteristic_series(t: Tower, cap: int) -> TruncatedPowerSeries:
@@ -330,36 +364,49 @@ def _padic_characteristic_series(t: Tower, cap: int) -> TruncatedPowerSeries:
     entries of D - A_rho are read mod ell^N.  The coefficients are wrapped as
     PadicTruncated values mod ell^N only on the way out.
     """
-    ell = t.ell
-    # (1+T)^a and (1+T)^(-a) per orientation edge; int voltages are exact
-    binomials = {}
     digits = []
-    for s in t.orientation:
-        a = t.values[s]
+
+    def entry(a):
+        # int voltages are exact
         if isinstance(a, int):
-            binomials[s] = binomial_coefficients(a, cap), binomial_coefficients(-a, cap)
-            continue
-        if not isinstance(a, PadicTruncated):
-            raise UnsupportedError(f"unsupported exponent type {type(a).__name__}")
-        if a.ell != ell:
-            raise ValidationError("mixed primes in p-adic arithmetic")
+            return binomial_coefficients(a, cap), binomial_coefficients(-a, cap)
         n_out, forward = binomial_residues(a, cap)
-        _, backward = binomial_residues(PadicTruncated(ell, a.precision, -a.value), cap)
-        binomials[s] = forward, backward
         digits.append(n_out)
-    g = t.graph.vertex_count
-    M = [[[0] * (cap + 1) for _ in range(g)] for _ in range(g)]
-    for s in t.orientation:
-        i, j = t.graph.origin[s], t.graph.terminus[s]
-        forward, backward = binomials[s]
-        M[i][i][0] += 1
-        M[j][j][0] += 1
-        for k in range(cap + 1):
-            M[i][j][k] -= forward[k]
-            M[j][i][k] -= backward[k]
+        return forward, binomial_residues(-a, cap)[1]
+
+    M = _series_matrix(t, cap, entry)
     n = min(digits)
-    det = truncated_determinant(M, ell ** n, cap)
-    return TruncatedPowerSeries([PadicTruncated(ell, n, c) for c in det])
+    det = truncated_determinant(M, t.ell ** n, cap)
+    return TruncatedPowerSeries([PadicTruncated(t.ell, n, c) for c in det])
+
+
+def lambda_mod_ell(t: Tower, cap: int) -> int | None:
+    """lambda(f) read off f mod ell through T^cap, or None when f vanishes
+    mod (ell, T^(cap+1)).
+
+    Every coefficient of f is ell-integral and F_ell[[T]] is a discrete
+    valuation ring, so a nonzero coefficient of f mod ell proves mu = 0, and
+    the first one is lambda(f): the T-adic valuation of det(D - A_rho) mod ell
+    (series.truncated_valuation).  The entries (1+T)^a mod ell come from
+    Lucas's theorem (series.binomial_mod_ell), which needs a voltage only
+    mod ell^P for cap < ell^P.
+    """
+    ell = t.ell
+    return truncated_valuation(
+        _series_matrix(t, cap, lambda a: (binomial_mod_ell(a, ell, cap),
+                                          binomial_mod_ell(-a, ell, cap))),
+        ell, cap)
+
+
+def _doubled_lambda_mod_ell(t: Tower, cap: int, limit: int) -> tuple:
+    """(lambda(f) or None, last cap): lambda_mod_ell with the cap doubled from
+    min(cap, limit) until a certificate or the limit."""
+    cap = min(cap, limit)
+    while True:
+        lam_f = lambda_mod_ell(t, cap)
+        if lam_f is not None or cap >= limit:
+            return lam_f, cap
+        cap = min(2 * cap, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -384,14 +431,20 @@ class IwasawaData:
 
 def iwasawa_invariants(t: Tower, cap: int = DEFAULT_CAP,
                        max_cap: int = MAX_CAP) -> IwasawaData:
-    """mu and lambda of the tower, read off the characteristic series.
+    """mu and lambda of the tower.
 
     lambda of the tower is lambda(f) - 1.  Exact integer voltages give
-    certified answers from the finite Laurent form; truncated voltages grow
-    the cap adaptively and report precision exhaustion honestly.
+    certified answers from the finite Laurent form P.  Truncated (or mixed)
+    voltages read lambda(f) off f mod ell (lambda_mod_ell), which proves
+    mu = 0; the cap doubles from cap up to max_cap, and below ell^P for the
+    least voltage precision P, beyond which the data fix nothing.  With no
+    nonzero coefficient by then, PrecisionError: no finite precision rules
+    out a lift with mu = 0.
     """
     if cap < 1:
         raise ValidationError("cap must be >= 1")
+    if max_cap < 1:
+        raise ValidationError("max_cap must be >= 1")
     if not certify_levels_connected(t):
         raise DisconnectedError(
             "tower levels are disconnected; invariants are undefined")
@@ -403,22 +456,13 @@ def iwasawa_invariants(t: Tower, cap: int = DEFAULT_CAP,
         mu = ld.mu(t.ell)
         lam_f = ld.lambda_f(t.ell)
         return IwasawaData(mu=mu, lam=lam_f - 1)
-    # truncated voltages: the cap is bounded by the precision budget, since
-    # each binomial coefficient burns ord_ell(cap!) guard digits; ints are exact
     min_prec = min(v.precision for v in t.values.values() if isinstance(v, PadicTruncated))
-    cap = min(cap, _padic_cap_limit(t.ell, min_prec))
-    while True:
-        f = _padic_characteristic_series(t, cap)
-        try:
-            mu, lam_f = mu_lambda(f, t.ell)
-            return IwasawaData(mu=mu, lam=lam_f - 1)
-        except PrecisionError:
-            limit = min(max_cap, _padic_cap_limit(t.ell, min_prec))
-            if cap >= limit:
-                raise PrecisionError(
-                    f"mu possibly positive beyond the working precision "
-                    f"(cap {cap}, voltage precision {min_prec})")
-            cap = min(2 * cap, limit)
+    lam_f, cap = _doubled_lambda_mod_ell(t, cap, min(max_cap, t.ell ** min_prec - 1))
+    if lam_f is None:
+        raise PrecisionError(
+            f"mu possibly positive beyond the working precision "
+            f"(cap {cap}, voltage precision {min_prec})")
+    return IwasawaData(mu=0, lam=lam_f - 1)
 
 
 def kappa_ord_sequence(t: Tower, n_max: int, factor: bool = False,
@@ -776,7 +820,14 @@ def uniform_tower_check(ell: int, level: int, explicit_m: int = 2,
         # Y_0 is X itself, carrying the same voltages
         cover_inv = base_inv
     else:
-        cover_inv = iwasawa_invariants(lift_tower(t, derived_graph(va).projection))
+        # f mod ell = P(1+T) / (1+T)^K mod ell, and deg P <= D, so f mod ell
+        # has a nonzero coefficient through T^D unless it is 0; only then
+        # (mu > 0, or f = 0) is the exact P built
+        lifted = lift_tower(t, derived_graph(va).projection)
+        _, degree = _degree_bound(_laurent_matrix(lifted, lifted.values))
+        lam_f, _ = _doubled_lambda_mod_ell(lifted, DEFAULT_CAP, degree)
+        cover_inv = (iwasawa_invariants(lifted) if lam_f is None
+                     else IwasawaData(mu=0, lam=lam_f - 1))
     expected = ell ** (3 * level) * (base_inv.lam + 1) - 1
     return UniformTowerReport(ell=ell, level=level, base=base_inv,
                               cover=cover_inv, lambda_expected=expected,

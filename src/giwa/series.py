@@ -6,12 +6,15 @@ through the degree cap; multiplication truncates.  The determinants here are
 division-free (Berkowitz) because series rings have non-unit constant terms:
 ring_determinant over any of these coefficient rings, and
 truncated_determinant over (Z/ell^N)[T]/(T^(cap+1)) with every series held as
-a list of residues and multiplied as one packed integer.
+a list of residues and multiplied as one packed integer.  Over the field
+F_ell no division-free method is needed: truncated_valuation finds the
+T-adic valuation of a determinant mod (ell, T^(cap+1)) by elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
 from .cyclotomic import CyclotomicElement, euler_phi
@@ -299,6 +302,32 @@ def binomial_residues(a: "PadicTruncated", cap: int) -> tuple:
     return n_out, out
 
 
+def binomial_mod_ell(a, ell: int, cap: int) -> list:
+    """Coefficients of (1+T)^a mod ell through degree cap, for an int or a
+    PadicTruncated a.
+
+    By Lucas's theorem (1+T)^a = prod_i (1 + T^(ell^i))^(a_i) mod ell over the
+    base-ell digits a_i of a mod ell^L, for any ell^L > cap; a voltage known
+    mod ell^P therefore fixes the series for cap < ell^P.  Digit i fills the
+    coefficients below ell^(i+1) from those below ell^i.
+    """
+    if isinstance(a, PadicTruncated):
+        if ell ** a.precision <= cap:
+            raise PrecisionError(
+                f"voltage known mod {ell}^{a.precision} fixes (1+T)^a mod {ell} "
+                f"only below T^{ell ** a.precision}, not through T^{cap}")
+        a = a.value
+    out = [1]
+    while len(out) <= cap:
+        a, digit = divmod(a, ell)
+        low = out
+        out = []
+        for j in range(ell):
+            b = comb(digit, j) % ell
+            out += [b * c % ell for c in low] if b else [0] * len(low)
+    return out[:cap + 1]
+
+
 def binomial_series(a, cap: int) -> TruncatedPowerSeries:
     """The series (1+T)^a.
 
@@ -410,6 +439,14 @@ def ring_determinant(matrix: Sequence[Sequence]) -> object:
     return -det if n % 2 else det
 
 
+def _check_series_matrix(matrix, length: int) -> None:
+    for row in matrix:
+        if len(row) != len(matrix):
+            raise ValidationError("determinant of a non-square matrix")
+        if any(len(e) != length for e in row):
+            raise ValidationError(f"series entries need {length} coefficients")
+
+
 def truncated_determinant(matrix: Sequence[Sequence[Sequence[int]]], modulus: int,
                           cap: int) -> list:
     """Determinant over (Z/modulus)[T]/(T^(cap+1)), as cap + 1 residues.
@@ -424,11 +461,7 @@ def truncated_determinant(matrix: Sequence[Sequence[Sequence[int]]], modulus: in
     """
     n = len(matrix)
     length = cap + 1
-    for row in matrix:
-        if len(row) != n:
-            raise ValidationError("determinant of a non-square matrix")
-        if any(len(e) != length for e in row):
-            raise ValidationError(f"series entries need {length} coefficients")
+    _check_series_matrix(matrix, length)
     if n == 0:
         return [1 % modulus] + [0] * cap
     width = (n * length * (modulus - 1) ** 2).bit_length() // 8 + 1
@@ -468,6 +501,96 @@ def truncated_determinant(matrix: Sequence[Sequence[Sequence[int]]], modulus: in
         p = q
     sign = -1 if n % 2 else 1
     return [sign * c % modulus for c in unpack(p[n])]
+
+
+def truncated_valuation(matrix: Sequence[Sequence[Sequence[int]]], ell: int,
+                        cap: int) -> int | None:
+    """The T-adic valuation of det(matrix) over F_ell[T]/(T^(cap+1)), or None
+    when the determinant vanishes there, so that its valuation is not known.
+
+    Each entry is a list of cap + 1 integers, read mod ell.  F_ell[[T]] is a
+    discrete valuation ring, so Gaussian elimination needs no division but
+    by units: column k takes its least-valuation entry T^v w (w a unit,
+    inverted once by Newton iteration) as pivot, and each row i below
+    becomes row_i - (a_ik / T^v) w^(-1) row_k.  The quotient a_ik / T^v is
+    known only through T^(prec - v - 1), so the rows below are too, and the
+    precision left drops by v.  The determinant is the product of the
+    pivots up to sign, so its valuation is the sum of the pivot valuations,
+    certified as long as each pivot is nonzero at the precision left.
+
+    Every series is one packed integer with one slot of `width` bytes per
+    coefficient.  A slot of any product formed sums at most cap + 1 products
+    of residues, below top = (cap + 1) ell^2, so no slot carries into the
+    next; the slots are then reduced mod ell all at once by Barrett's
+    floor(y m / 2^shift) = floor(y / ell), exact for y < 2^shift / ell,
+    with m * top < 2^(8 width) so that no slot of y * m carries either.
+    """
+    n = len(matrix)
+    length = cap + 1
+    _check_series_matrix(matrix, length)
+    top = length * ell * ell
+    shift = (top * ell).bit_length()
+    m = -(-(1 << shift) // ell)
+    width = (top * m).bit_length() // 8 + 1
+    bits = 8 * width
+    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * length, "little")
+    quotient_mask = ((1 << bits - shift) - 1) * ones
+
+    def reduce(y, prec):
+        """The slots of y below T^prec, each reduced mod ell."""
+        y &= (1 << bits * prec) - 1
+        return y - ell * ((y * m >> shift) & quotient_mask)
+
+    def inverse(w, prec):
+        """w^(-1) through T^(prec - 1) for a reduced unit w, by Newton
+        doubling x -> x (2 - w x)."""
+        x = pow(w & (1 << bits) - 1, -1, ell)
+        known = 1
+        while known < prec:
+            known = min(2 * known, prec)
+            # 2 - w x with every slot kept nonnegative: w x is 1 in slot 0
+            x = reduce(x * (ell * ones + 2 - reduce(w * x, known)), known)
+        return x
+
+    planes = range(((ell - 1).bit_length() + 7) // 8)
+
+    def pack(coeffs):
+        residues = [c % ell for c in coeffs]
+        raw = bytearray(width * length)
+        for b in planes:
+            raw[b::width] = bytes([r >> 8 * b & 255 for r in residues])
+        return int.from_bytes(raw, "little")
+
+    M = [[pack(e) if any(e) else 0 for e in row] for row in matrix]
+    prec = length
+    total = 0
+    for k in range(n):
+        column = [(((M[i][k] & -M[i][k]).bit_length() - 1) // bits, i)
+                  for i in range(k, n) if M[i][k]]
+        if not column:
+            return None
+        v, best = min(column)
+        M[k], M[best] = M[best], M[k]
+        pivot = M[k]
+        prec -= v
+        if prec <= 0:
+            return None
+        total += v
+        w_inv = inverse(pivot[k] >> bits * v, prec)
+        mask = (1 << bits * prec) - 1
+        ells = ell * ones & mask
+        used = [(j, pivot[j]) for j in range(k + 1, n) if pivot[j]]
+        # Entries left alone keep slots at and above T^prec; those are never
+        # read: products are cut at prec, and a pivot found only there has
+        # v >= prec, which the check above refuses.
+        for row in M[k + 1:]:
+            if row[k]:
+                # -(a_ik / T^v) w^(-1) in every slot, as ell - q_j >= 0
+                neg = ells - reduce((row[k] >> bits * v) * w_inv, prec)
+                for j, p in used:
+                    y = (row[j] + neg * p) & mask      # reduce(), inlined
+                    row[j] = y - ell * ((y * m >> shift) & quotient_mask)
+    return total
 
 
 def cofactor_determinant(matrix: Sequence[Sequence]) -> object:

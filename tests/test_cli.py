@@ -263,7 +263,8 @@ class TestExamplesCommand:
 
         monkeypatch.setattr(giwa.iwasawa, "_laurent_determinant", counting)
         assert main(["examples", "sl2"]) == 0
-        assert sorted(built) == [1, 27]      # the B4 tower and its level-1 lift
+        # the B4 tower; its level-1 lift is certified from f mod ell
+        assert sorted(built) == [1]
 
     def test_unknown_example(self, capsys):
         assert main(["examples", "nope"]) == 2

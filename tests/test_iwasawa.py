@@ -638,6 +638,14 @@ class TestBadCapsAndLevels:
             with pytest.raises(ValidationError, match="cap must be >= 1"):
                 iwasawa_invariants(t, cap=cap)
 
+    @pytest.mark.parametrize("max_cap", [0, -1])
+    def test_invariants_max_cap_below_one(self, max_cap):
+        # a truncated tower once ignored max_cap < 1 and answered mu=0 lambda=1
+        mixed = tower(bouquet(2), 3, {"s1": PadicTruncated(3, 20, 1), "s2": 2})
+        for t in (mixed, self.padic_tower(), ex1_tower()):
+            with pytest.raises(ValidationError, match="max_cap must be >= 1"):
+                iwasawa_invariants(t, max_cap=max_cap)
+
     def test_characteristic_series_negative_cap(self):
         for t in (self.padic_tower(), ex1_tower()):
             with pytest.raises(ValidationError, match="cap must be >= 0"):

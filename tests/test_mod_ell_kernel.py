@@ -1,0 +1,195 @@
+"""mu = 0 and lambda certified from f mod ell.
+
+series.truncated_valuation takes the T-adic valuation of a determinant over
+F_ell[T]/(T^(cap+1)) by elimination with least-valuation pivots, and
+iwasawa.lambda_mod_ell runs it on D - A_rho with (1+T)^a mod ell from
+Lucas's theorem.  The oracles are the exact Laurent determinant P (mu and
+lambda(f)) and the Berkowitz determinant mod ell (truncated_determinant).
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from giwa import (IwasawaData, PadicTruncated, PrecisionError, Tower, bouquet,
+                  build_multigraph, cyclic, derived_graph, iwasawa_invariants,
+                  lift_tower, product, tower, voltage_assignment,
+                  voltage_connectedness)
+from giwa.iwasawa import _degree_bound, _laurent_matrix, _tower_p, lambda_mod_ell
+from giwa.series import (binomial_coefficients, binomial_mod_ell,
+                         truncated_determinant, truncated_valuation)
+
+SETTINGS = settings(max_examples=100, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow,
+                                           HealthCheck.data_too_large,
+                                           HealthCheck.filter_too_much])
+
+# covers of more vertices make the exact P oracle too slow for the suite
+MAX_COVER_VERTICES = 16
+
+
+@st.composite
+def towers(draw):
+    """A connected tower over 1 to 4 vertices with voltages in [-30, 30], or
+    its pullback along a Z/ell or Z/ell x Z/ell cover."""
+    ell = draw(st.sampled_from([2, 3, 5]))
+    n_vertices = draw(st.integers(1, 4))
+    n_edges = draw(st.sampled_from([e for e in range(max(n_vertices - 1, 1), n_vertices + 3)
+                                    if e != n_vertices]))
+    verts = [f"v{i}" for i in range(n_vertices)]
+    edges = [(verts[draw(st.integers(0, i - 1))], verts[i], f"s{i}")
+             for i in range(1, n_vertices)]
+    while len(edges) < n_edges:
+        u, v = draw(st.sampled_from(verts)), draw(st.sampled_from(verts))
+        edges.append((u, v, f"s{len(edges) + 1}"))
+    alpha = {eid: draw(st.integers(-30, 30)) for _u, _v, eid in edges}
+    t = tower(build_multigraph(verts, edges), ell, alpha)
+    groups = [G for G in (cyclic(ell), product(cyclic(ell), cyclic(ell)))
+              if G.order * n_vertices <= MAX_COVER_VERTICES]
+    G = draw(st.sampled_from([None] + groups))
+    if G is not None:
+        labels = sorted(G.elements, key=repr)
+        beta = {eid: draw(st.sampled_from(labels)) for _u, _v, eid in edges}
+        va = voltage_assignment(t.graph, G, beta, t.orientation)
+        if voltage_connectedness(va)[0]:
+            t = lift_tower(t, derived_graph(va).projection)
+    return t
+
+
+def degree_bound(t):
+    return _degree_bound(_laurent_matrix(t, t.values))[1]
+
+
+@SETTINGS
+@given(towers(), st.integers(0, 128))
+def test_kernel_matches_exact_laurent(t, cap):
+    ld = _tower_p(t)
+    if ld.is_zero():
+        assert lambda_mod_ell(t, degree_bound(t)) is None
+        return
+    got = lambda_mod_ell(t, cap)
+    if ld.mu(t.ell) > 0:
+        assert got is None
+        # f mod ell is 0, so not even the degree bound of P certifies
+        assert lambda_mod_ell(t, degree_bound(t)) is None
+        return
+    lam_f = ld.lambda_f(t.ell)
+    assert got == (lam_f if cap >= lam_f else None)
+    # f mod ell = P(1+T) / (1+T)^K mod ell has a nonzero term through deg P
+    assert lambda_mod_ell(t, degree_bound(t)) == lam_f
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5])
+def test_kernel_refuses_positive_mu(ell):
+    # ell loops of voltage 1: f = -ell (u - 1)^2 / u, so mu = 1, lambda(f) = 2
+    t = tower(bouquet(ell), ell, {f"s{i}": 1 for i in range(1, ell + 1)})
+    assert iwasawa_invariants(t) == IwasawaData(1, 1)
+    assert lambda_mod_ell(t, 512) is None
+    truncated = Tower(graph=t.graph, orientation=t.orientation, ell=ell,
+                      values={d: PadicTruncated(ell, 20, v) for d, v in t.values.items()})
+    with pytest.raises(PrecisionError,
+                       match=r"mu possibly positive .*\(cap 2048, voltage precision 20\)"):
+        iwasawa_invariants(truncated)
+
+
+@st.composite
+def series_matrices(draw):
+    """(matrix, ell, cap): entries of random T-adic valuation, many of them
+    zero or vanishing mod ell."""
+    ell = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(0, 5))
+    cap = draw(st.integers(0, 16))
+
+    def entry():
+        v = draw(st.integers(0, cap + 2))
+        return [0] * min(v, cap + 1) + [draw(st.integers(-3 * ell, 3 * ell))
+                                        for _ in range(cap + 1 - min(v, cap + 1))]
+    return [[entry() for _ in range(n)] for _ in range(n)], ell, cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_matrices())
+def test_kernel_matches_berkowitz_mod_ell(case):
+    matrix, ell, cap = case
+    det = truncated_determinant(matrix, ell, cap)
+    assert truncated_valuation(matrix, ell, cap) == \
+        next((k for k, c in enumerate(det) if c), None)
+
+
+def poly(*coeffs, cap=3):
+    return list(coeffs) + [0] * (cap + 1 - len(coeffs))
+
+
+class TestExplicitMatrices:
+    def test_empty_and_one_by_one(self):
+        assert truncated_valuation([], 3, 4) == 0
+        assert truncated_valuation([[poly(0, 0, 1, 2)]], 3, 3) == 2
+        assert truncated_valuation([[poly(0, 0, 0, 4)]], 3, 3) == 3
+        # every coefficient vanishes mod 3
+        assert truncated_valuation([[poly(3, 0, 6, -9)]], 3, 3) is None
+
+    def test_pivot_valuation_costs_precision(self):
+        # diag(T^2, T^2): the first pivot leaves T^0, T^1 known, and the
+        # second T^2 lies beyond them; at cap 4 it does not
+        t2 = poly(0, 0, 1)
+        zero = poly()
+        assert truncated_valuation([[t2, zero], [zero, t2]], 3, 3) is None
+        assert truncated_valuation([[t2 + [0], zero + [0]], [zero + [0], t2 + [0]]],
+                                   3, 4) == 4
+        # det [[T, 1], [T, 1 + T^3]] = T^4: clearing under T is exact here,
+        # but T^3 in the second pivot lies at the precision left
+        assert truncated_valuation([[poly(0, 1), poly(1)], [poly(0, 1), poly(1, 0, 0, 1)]],
+                                   5, 3) is None
+
+    def test_least_valuation_pivot_swaps_rows(self):
+        # det [[T, 1], [1, 1]] = T - 1, a unit: the pivot is the 1 below
+        assert truncated_valuation([[poly(0, 1), poly(1)], [poly(1), poly(1)]], 3, 3) == 0
+        # det [[T^2, T], [T, 1 + T]] = T^3: the pivot is T, in the second row
+        m = [[poly(0, 0, 1), poly(0, 1)], [poly(0, 1), poly(1, 1)]]
+        assert truncated_valuation(m, 2, 3) == 3
+        assert truncated_valuation([[e[:3] for e in row] for row in m], 2, 2) is None
+
+    def test_unit_part_is_inverted(self):
+        # det [[T (2 + T), T], [T (1 + 2T), T + T^2]] = T^2 (2 + 3T + T^2 - 1 - 2T)
+        # = T^2 (1 + T + T^2) over F_3, with pivot unit 2 + T
+        m = [[poly(0, 2, 1), poly(0, 1)], [poly(0, 1, 2), poly(0, 1, 1)]]
+        assert truncated_valuation(m, 3, 3) == 2
+
+    def test_zero_columns(self):
+        zero = poly()
+        assert truncated_valuation([[zero, poly(1)], [zero, poly(0, 1)]], 3, 3) is None
+        # a column that vanishes only once the one before is cleared
+        assert truncated_valuation([[poly(1), poly(2)], [poly(1), poly(2)]], 3, 3) is None
+
+
+def test_lucas_entries_match_exact_binomials():
+    for ell in (2, 3, 5):
+        for a in range(-40, 41):
+            for cap in (0, 1, 7, 30):
+                assert binomial_mod_ell(a, ell, cap) == \
+                    [c % ell for c in binomial_coefficients(a, cap)]
+        # a known mod ell^3 fixes the series below T^(ell^3)
+        cap = ell ** 3 - 1
+        assert binomial_mod_ell(PadicTruncated(ell, 3, -7), ell, cap) == \
+            [c % ell for c in binomial_coefficients(-7, cap)]
+        with pytest.raises(PrecisionError):
+            binomial_mod_ell(PadicTruncated(ell, 3, -7), ell, cap + 1)
+
+
+class TestTruncatedRoute:
+    def voltages(self, precision):
+        # over ell = 2: f = -(2 (u - 1)^2 / u + (u^8 - 1)^2 / u^8) = T^16 mod 2
+        return {"s1": PadicTruncated(2, 40, 1), "s2": 1,
+                "s3": PadicTruncated(2, precision, 8)}
+
+    def test_precision_bounds_the_cap(self):
+        # mod 2^4 the voltages fix f mod 2 only through T^15
+        with pytest.raises(PrecisionError, match=r"\(cap 15, voltage precision 4\)"):
+            iwasawa_invariants(tower(bouquet(3), 2, self.voltages(4)))
+        assert iwasawa_invariants(tower(bouquet(3), 2, self.voltages(5))) == \
+            IwasawaData(0, 15)
+
+    def test_max_cap_bounds_the_cap(self):
+        t = tower(bouquet(3), 2, self.voltages(40))
+        with pytest.raises(PrecisionError, match=r"\(cap 8, voltage precision 40\)"):
+            iwasawa_invariants(t, cap=4, max_cap=8)
+        assert iwasawa_invariants(t, cap=4, max_cap=16) == IwasawaData(0, 15)
