@@ -206,6 +206,7 @@ def matrices(graph: Multigraph) -> tuple:
     return D, A, Q
 
 
+# A row is divided by the pivot of its last update (see bareiss_determinant).
 # Divisors wider than this many bits are divided through a 2-adic inverse
 # (_exact_divider); below it, CPython's floor division is faster.
 _TWO_ADIC_CUTOFF = 1024
@@ -246,16 +247,61 @@ def _exact_divider(d: int):
     return divide
 
 
+def _fill_reducing_order(a: list) -> list | None:
+    """A greedy minimum-degree order on the nonzero pattern of a + a^T, or
+    None when no off-diagonal entry is 0 and every order fills alike.
+
+    Each step takes a vertex of least degree (the lowest index on a tie),
+    joins its neighbours into a clique, the fill its elimination makes, and
+    drops it (Rose; George and Liu, ch. 5).
+    """
+    n = len(a)
+    if not any(0 in row[:i] or 0 in row[i + 1:] for i, row in enumerate(a)):
+        return None
+    adj = [set() for _ in range(n)]
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            if x and i != j:
+                adj[i].add(j)
+                adj[j].add(i)
+    order = []
+    left = set(range(n))
+    while left:
+        v = min(left, key=lambda i: (len(adj[i]), i))
+        if len(adj[v]) == len(left) - 1:
+            # the rest is a clique: every order of it fills alike
+            return order + sorted(left)
+        order.append(v)
+        left.remove(v)
+        for u in adj[v]:
+            adj[u] |= adj[v]
+            adj[u] -= {u, v}
+    return order
+
+
 def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
     """Exact determinant of an integer matrix by fraction-free elimination.
 
     Every division in the Bareiss recurrence is exact over the integers
     (Sylvester's identity), so the result is exact for arbitrary-precision
-    entries; O(n^3) ring ops.  A step whose divisor is at most
-    _TWO_ADIC_CUTOFF (1024) bits wide divides with `//`; a wider divisor is
-    inverted once per step modulo a power of 2 and each quotient is read off
-    as a signed residue (_exact_divider), which replaces CPython's quadratic
-    long division by multiplications.
+    entries; O(n^3) ring ops.  Two things make sparse matrices cheaper:
+
+    - The matrix is first permuted symmetrically, which leaves det alone,
+      into a minimum-degree order of its pattern (_fill_reducing_order).
+    - A row whose entry in the pivot column is 0 is not touched.  Step k
+      would scale it by p_k / p_(k-1), with p_k the pivot of step k, and
+      these factors telescope: a row last updated at step s - 1 and skipped
+      since holds a^(s), and a^(k) = a^(s) p_(k-1) / p_(s-1).  When the row
+      is next eliminated, at step k, its new entries are read off in one
+      exact division, (a^(s)_ij p_k - a^(s)_ik a^(k)_kj) / p_(s-1).  A
+      pivot row, and the last row, is first brought up to date with one
+      multiplication and one exact division per entry.
+
+    A divisor at most _TWO_ADIC_CUTOFF (1024) bits wide divides with `//`;
+    a wider one is inverted once modulo a power of 2, shared by every row
+    that divides by it, and each quotient is read off as a signed residue
+    (_exact_divider), which replaces CPython's quadratic long division by
+    multiplications.
     """
     a = [list(row) for row in matrix]
     n = len(a)
@@ -264,31 +310,57 @@ def bareiss_determinant(matrix: Sequence[Sequence[int]]) -> int:
     for row in a:
         if len(row) != n:
             raise ValidationError("determinant of a non-square matrix")
+    order = _fill_reducing_order(a)
+    if order is not None:
+        a = [[a[i][j] for j in order] for i in order]
+    # pivots[s] divides a row last updated at step s - 1: p_(s-1), p_(-1) = 1
+    pivots = [1]
+    dividers = {}
+    level = [0] * n            # level[i] = s: row i holds a^(s)
+
+    def divider(s: int):
+        if s not in dividers:
+            d = pivots[s]
+            dividers[s] = (_exact_divider(d) if d.bit_length() > _TWO_ADIC_CUTOFF
+                           else lambda x: x // d)
+        return dividers[s]
+
+    def bring_up_to_date(k: int) -> None:
+        s = level[k]
+        if s < k:
+            divide, scale = divider(s), pivots[k]
+            a[k][k:] = [divide(x * scale) for x in a[k][k:]]
+            level[k] = k
+
     sign = 1
-    prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
             if pivot is None:
                 return 0
             a[k], a[pivot] = a[pivot], a[k]
+            level[k], level[pivot] = level[pivot], level[k]
             sign = -sign
-        akk = a[k][k]
+        bring_up_to_date(k)
         row_k = a[k]
-        if prev.bit_length() <= _TWO_ADIC_CUTOFF:
-            for i in range(k + 1, n):
-                aik = a[i][k]
-                row_i = a[i]
+        akk = row_k[k]
+        for i in range(k + 1, n):
+            row_i = a[i]
+            aik = row_i[k]
+            if not aik:
+                continue
+            s = level[i]
+            prev = pivots[s]
+            if prev.bit_length() <= _TWO_ADIC_CUTOFF:
                 for j in range(k + 1, n):
                     row_i[j] = (row_i[j] * akk - aik * row_k[j]) // prev
-        else:
-            divide = _exact_divider(prev)
-            for i in range(k + 1, n):
-                aik = a[i][k]
-                row_i = a[i]
+            else:
+                divide = divider(s)
                 for j in range(k + 1, n):
                     row_i[j] = divide(row_i[j] * akk - aik * row_k[j])
-        prev = akk
+            level[i] = k + 1
+        pivots.append(akk)
+    bring_up_to_date(n - 1)
     return sign * a[n - 1][n - 1]
 
 

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -308,3 +309,110 @@ class TestTwoAdicDivision:
                         q = rng.getrandbits(q_bits) * rng.choice((1, -1))
                         assert divide(q * sd * d) == q
                     assert divide(0) == 0
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Square matrices with a random zero pattern and, often, zeros on the
+    diagonal, which force row swaps.  Entries are up to 400 bits wide, so
+    that lazily scaled rows divide by pivots on both sides of
+    graphs._TWO_ADIC_CUTOFF."""
+    n = draw(st.integers(0, 8))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    density = draw(st.sampled_from([0.15, 0.3, 0.5, 0.8]))
+    bits = draw(st.sampled_from([3, 64, 400]))
+    a = [[rng.getrandbits(bits) - (1 << (bits - 1)) if rng.random() < density else 0
+          for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            if rng.random() < 0.5:
+                a[i][i] = 0
+    return a
+
+
+def in_given_order(a):
+    """bareiss_determinant with the fill-reducing order switched off."""
+    with mock.patch.object(graphs, "_fill_reducing_order", lambda _a: None):
+        return bareiss_determinant(a)
+
+
+class TestSparseElimination:
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_matrices())
+    def test_random_zero_patterns(self, a):
+        det = bareiss_determinant(a)
+        assert det == floor_division_determinant(a) == in_given_order(a)
+        if len(a) <= 6:
+            assert det == cofactor_determinant(a)
+        order = graphs._fill_reducing_order(a)
+        assert order is None or sorted(order) == list(range(len(a)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_matrices(), st.randoms(use_true_random=False))
+    def test_symmetric_permutation_keeps_det(self, a, rng):
+        order = list(range(len(a)))
+        rng.shuffle(order)
+        permuted = [[a[i][j] for j in order] for i in order]
+        assert bareiss_determinant(permuted) == bareiss_determinant(a)
+        assert in_given_order(permuted) == in_given_order(a)
+
+    @pytest.mark.parametrize("a", [
+        # Rows 3 and 4 are 0 in columns 1 and 2 after step 0, so both are
+        # skipped at steps 1 and 2.  Row 3 is then 0 in column 3 as well:
+        # step 3 swaps in row 4, which is brought up from step 0's minors by
+        # p_2 / p_0, and row 3, now row 4, is brought up at step 4.
+        [[2, 0, 0, 0, 0, 1],
+         [1, 3, 1, 0, 0, 1],
+         [0, 1, 4, 0, 0, 1],
+         [5, 0, 0, 0, 2, 1],
+         [3, 0, 0, 7, 1, 1],
+         [1, 1, 1, 1, 1, 1]],
+        # Step 0 updates rows 1 and 2 and skips row 3, which is 0 in column
+        # 0.  Rows 1 and 2 are then 0 in column 1: step 1 swaps row 1, which
+        # holds step 0's minors, with row 3, which still holds the input.
+        [[3, 0, 1, 1],
+         [3, 0, 1, 0],
+         [2, 0, 0, 0],
+         [0, 4, 0, 0]],
+        # After step 0 the last row is 0 in columns 1 to 3: it holds step 0's
+        # minors until it is brought up, by p_3 / p_0, for the result.
+        [[3, 0, 0, 0, 1],
+         [1, 2, 1, 0, 1],
+         [1, 1, 2, 1, 1],
+         [2, 0, 1, 3, 1],
+         [2, 0, 0, 0, 5]],
+    ], ids=["swap-of-two-lazy-rows", "swap-of-rows-of-different-steps",
+            "row-untouched-until-the-last-step"])
+    def test_lazily_scaled_rows(self, a):
+        det = cofactor_determinant(a)
+        assert det != 0
+        assert in_given_order(a) == floor_division_determinant(a) == det
+        assert bareiss_determinant(a) == det
+        # shifted past the cutoff, the same steps divide 2-adically
+        wide = [[x << 1100 for x in row] for row in a]
+        assert in_given_order(wide) == bareiss_determinant(wide) == det << 1100 * len(a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 7), st.data())
+    def test_structural_zero_determinant(self, n, data):
+        # r rows that are nonzero only in r - 1 columns: det is 0 whatever
+        # the values, which Bareiss must find by exact cancellation
+        r = data.draw(st.integers(2, n))
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        bits = data.draw(st.sampled_from([3, 300]))
+        a = [[rng.getrandbits(bits) + 1 if i >= r or j < r - 1 else 0
+              for j in range(n)] for i in range(n)]
+        rows, cols = list(range(n)), list(range(n))
+        rng.shuffle(rows)
+        rng.shuffle(cols)
+        a = [[a[i][j] for j in cols] for i in rows]
+        assert bareiss_determinant(a) == in_given_order(a) == 0
+
+    def test_minimum_degree_order(self):
+        # an arrowhead with its hub first: eliminating the hub first fills
+        # the whole matrix, eliminating the leaves first fills nothing
+        n = 7
+        a = [[1 if i == j or i == 0 or j == 0 else 0 for j in range(n)] for i in range(n)]
+        assert graphs._fill_reducing_order(a)[:n - 2] == list(range(1, n - 1))
+        assert graphs._fill_reducing_order([[1, 2], [3, 4]]) is None
+        assert graphs._fill_reducing_order([[0, 2], [3, 0]]) is None

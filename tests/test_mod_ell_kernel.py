@@ -12,8 +12,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from giwa import (IwasawaData, PadicTruncated, PrecisionError, Tower, bouquet,
                   build_multigraph, cyclic, derived_graph, iwasawa_invariants,
-                  lift_tower, product, tower, voltage_assignment,
-                  voltage_connectedness)
+                  kappa_ord_sequence, lift_tower, product, spanning_tree_count,
+                  tower, tower_level, voltage_assignment, voltage_connectedness)
 from giwa.iwasawa import _degree_bound, _laurent_matrix, _tower_p, lambda_mod_ell
 from giwa.series import (binomial_coefficients, binomial_mod_ell,
                          truncated_determinant, truncated_valuation)
@@ -76,6 +76,30 @@ def test_kernel_matches_exact_laurent(t, cap):
     assert got == (lam_f if cap >= lam_f else None)
     # f mod ell = P(1+T) / (1+T)^K mod ell has a nonzero term through deg P
     assert lambda_mod_ell(t, degree_bound(t)) == lam_f
+
+
+def test_heavy_pullback_kernels_agree():
+    # The heaviest shape the benchmark draws: an 18-vertex Z/3 x Z/3
+    # pullback of a 2-vertex base with voltages of 40 to 60.  Its P is the
+    # largest sparse Bareiss determinant of a random-towers pass.
+    base = tower(build_multigraph(["v0", "v1"],
+                                  [("v0", "v1", "s1"), ("v0", "v1", "s2"),
+                                   ("v0", "v1", "s3"), ("v1", "v1", "s4")]),
+                 3, {"s1": -59, "s2": 44, "s3": -53, "s4": 49})
+    G = product(cyclic(3), cyclic(3))
+    beta = {"s1": (1, 0), "s2": (1, 0), "s3": (0, 2), "s4": (2, 1)}
+    va = voltage_assignment(base.graph, G, beta, base.orientation)
+    assert voltage_connectedness(va)[0]
+    t = lift_tower(base, derived_graph(va).projection)
+    assert t.graph.vertex_count == 18
+    ld = _tower_p(t)
+    # f(0) = P(1) = det of the Laplacian, which is singular
+    assert sum(ld.coeffs) == 0
+    assert ld.mu(3) == 0
+    assert lambda_mod_ell(t, degree_bound(t)) == ld.lambda_f(3)
+    # kappa_1 through the norm of P against the matrix-tree count of level 1
+    kappa_1 = kappa_ord_sequence(t, 1)[1][1]
+    assert kappa_1 == spanning_tree_count(tower_level(t, 1).graph)
 
 
 @pytest.mark.parametrize("ell", [2, 3, 5])
