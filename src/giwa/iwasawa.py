@@ -12,8 +12,11 @@ lambda exactly: mu is the minimal ell-valuation of the coefficients of P
 u^(-K) is a unit power series), and lambda(f) is the multiplicity of the
 root u = 1 of P/ell^mu over F_ell.
 
-Truncated ell-adic voltages take a Berkowitz determinant over
-(Z/ell^N)[T]/(T^(cap+1)) with packed-integer products
+D - A_rho is built in one place, _laurent_matrix, as terms c u^a; the
+series routes read each term as c (1+T)^a through T^cap (_series_matrix),
+with c = psi(beta(s)) for a twisted series.  Truncated ell-adic voltages
+known mod ell^P take a Berkowitz determinant over (Z/ell^N)[T]/(T^(cap+1)),
+N = P - ord_ell(cap!), with packed-integer products
 (series.truncated_determinant) for their series.  Their mu and lambda, and
 those of the covers in uniform_tower_check, come from f mod ell instead:
 elimination over F_ell[T]/(T^(cap+1)) (series.truncated_valuation)
@@ -37,8 +40,8 @@ from .graphs import (Multigraph, Orientation, bareiss_determinant,
 from .groups import FiniteGroup, cyclic, product
 from .numtheory import is_prime, ord_int, prime_power_exponent
 from .series import (PadicTruncated, TruncatedPowerSeries, binomial_coefficients,
-                     binomial_mod_ell, binomial_residues, binomial_series,
-                     ring_determinant, truncated_determinant, truncated_valuation)
+                     binomial_digits, binomial_mod_ell, ring_determinant,
+                     truncated_determinant, truncated_valuation)
 from .voltage import (CoverMap, DerivedGraph, VoltageAssignment, combined_voltage,
                       derived_graph, lift_voltages, voltage_assignment,
                       voltage_connectedness)
@@ -160,18 +163,27 @@ def certify_levels_connected(t: Tower) -> bool:
 # Characteristic series
 
 
-def _laurent_matrix(t: Tower, values: Mapping) -> list:
-    """Entries of D - A_rho as integer Laurent polynomials {exp: coeff} in u."""
+def _laurent_matrix(t: Tower, values: Mapping, weight=None) -> list:
+    """Entries of D - A_rho as Laurent polynomials {exponent: coeff} in u.
+
+    Orientation edge s from v_i to v_j adds 1 at (i, i) and at (j, j), and
+    subtracts c u^a at (i, j) and c' u^(-a) at (j, i), with a = values[s] and
+    (c, c') = weight(s), (1, 1) by default: integer entries for P and the
+    plain series, Z[zeta] ones for a twisted series.  A truncated voltage is
+    read as its integer representative; PadicTruncated itself is no key, as
+    it hashes and compares by the weaker of two precisions.
+    """
     g = t.graph.vertex_count
     ent = [[dict() for _ in range(g)] for _ in range(g)]
     val = [0] * g
     for s in t.orientation:
         i, j = t.graph.origin[s], t.graph.terminus[s]
-        a = values[s]
+        a = values[s] if isinstance(values[s], int) else values[s].value
+        c, c_inv = (1, 1) if weight is None else weight(s)
         val[i] += 1
         val[j] += 1
-        ent[i][j][a] = ent[i][j].get(a, 0) - 1
-        ent[j][i][-a] = ent[j][i].get(-a, 0) - 1
+        ent[i][j][a] = ent[i][j].get(a, 0) - c
+        ent[j][i][-a] = ent[j][i].get(-a, 0) - c_inv
     for i in range(g):
         ent[i][i][0] = ent[i][i].get(0, 0) + val[i]
     return ent
@@ -321,61 +333,51 @@ def characteristic_series(t: Tower, cap: int = DEFAULT_CAP) -> TruncatedPowerSer
     return _padic_characteristic_series(t, cap)
 
 
-def _series_matrix(t: Tower, cap: int, entry) -> list:
+def _voltage_precision(t: Tower) -> int | None:
+    """The least precision P of the tower's truncated voltages, None when all
+    are integers; a voltage of another type or prime is refused."""
+    truncated = [t.values[s] for s in t.orientation if not isinstance(t.values[s], int)]
+    for a in truncated:
+        if not isinstance(a, PadicTruncated):
+            raise UnsupportedError(f"unsupported exponent type {type(a).__name__}")
+        if a.ell != t.ell:
+            raise ValidationError("mixed primes in p-adic arithmetic")
+    return min((a.precision for a in truncated), default=None)
+
+
+def _series_matrix(t: Tower, cap: int, entry, weight=None) -> list:
     """D - A_rho through T^cap, each entry a list of cap + 1 coefficients.
 
-    entry(a) gives the coefficients of (1+T)^a and of (1+T)^(-a) for a
-    voltage a, an int or a PadicTruncated residue of the tower's prime; the
-    entries of D - A_rho that stay zero share one list.
+    Each term c u^a of _laurent_matrix(t, t.values, weight) becomes c times
+    entry(a), the coefficients of (1+T)^a for an integer a, computed once per
+    exponent.  Zero coefficients of entry(a) are skipped, so they stay
+    integers; the entries of D - A_rho that stay zero share one list.
     """
-    g = t.graph.vertex_count
-    cells = {}
-
-    def cell(i, j):
-        if (i, j) not in cells:
-            cells[i, j] = [0] * (cap + 1)
-        return cells[i, j]
-
-    for s in t.orientation:
-        a = t.values[s]
-        if not isinstance(a, int):
-            if not isinstance(a, PadicTruncated):
-                raise UnsupportedError(f"unsupported exponent type {type(a).__name__}")
-            if a.ell != t.ell:
-                raise ValidationError("mixed primes in p-adic arithmetic")
-        i, j = t.graph.origin[s], t.graph.terminus[s]
-        forward, backward = entry(a)
-        cell(i, i)[0] += 1
-        cell(j, j)[0] += 1
-        out, back = cell(i, j), cell(j, i)
-        for k in range(cap + 1):
-            out[k] -= forward[k]
-            back[k] -= backward[k]
     zero = [0] * (cap + 1)
-    return [[cells.get((i, j), zero) for j in range(g)] for i in range(g)]
+    series = {}
+
+    def cell(terms):
+        out = zero
+        for a, c in terms.items():
+            if a not in series:
+                series[a] = entry(a)
+            out = [x + c * y if y else x for x, y in zip(out, series[a])]
+        return out
+
+    return [[cell(terms) for terms in row]
+            for row in _laurent_matrix(t, t.values, weight)]
 
 
 def _padic_characteristic_series(t: Tower, cap: int) -> TruncatedPowerSeries:
     """f through degree cap for truncated voltages, over (Z/ell^N)[T]/(T^(cap+1)).
 
-    A voltage known mod ell^P gives binomial series certified mod
-    ell^(P - ord_ell(cap!)) (series.binomial_residues); N is the least of
-    these, the precision at which the determinant is certified, and the
-    entries of D - A_rho are read mod ell^N.  The coefficients are wrapped as
-    PadicTruncated values mod ell^N only on the way out.
+    N = P - ord_ell(cap!) for the least voltage precision P
+    (series.binomial_digits): every binomial series, and so the determinant,
+    is certified mod ell^N.  The coefficients are wrapped as PadicTruncated
+    values mod ell^N only on the way out.
     """
-    digits = []
-
-    def entry(a):
-        # int voltages are exact
-        if isinstance(a, int):
-            return binomial_coefficients(a, cap), binomial_coefficients(-a, cap)
-        n_out, forward = binomial_residues(a, cap)
-        digits.append(n_out)
-        return forward, binomial_residues(-a, cap)[1]
-
-    M = _series_matrix(t, cap, entry)
-    n = min(digits)
+    n = binomial_digits(t.ell, _voltage_precision(t), cap)
+    M = _series_matrix(t, cap, lambda a: binomial_coefficients(a, cap))
     det = truncated_determinant(M, t.ell ** n, cap)
     return TruncatedPowerSeries([PadicTruncated(t.ell, n, c) for c in det])
 
@@ -387,15 +389,18 @@ def lambda_mod_ell(t: Tower, cap: int) -> int | None:
     Every coefficient of f is ell-integral and F_ell[[T]] is a discrete
     valuation ring, so a nonzero coefficient of f mod ell proves mu = 0, and
     the first one is lambda(f): the T-adic valuation of det(D - A_rho) mod ell
-    (series.truncated_valuation).  The entries (1+T)^a mod ell come from
-    Lucas's theorem (series.binomial_mod_ell), which needs a voltage only
-    mod ell^P for cap < ell^P.
+    (series.truncated_valuation).  The entries (1+T)^a mod ell
+    (series.binomial_mod_ell) need a voltage only mod ell^P for cap < ell^P,
+    so cap >= ell^P for the least voltage precision P is refused.
     """
     ell = t.ell
+    precision = _voltage_precision(t)
+    if precision is not None and ell ** precision <= cap:
+        raise PrecisionError(
+            f"voltages known mod {ell}^{precision} fix f mod {ell} only below "
+            f"T^{ell ** precision}, not through T^{cap}")
     return truncated_valuation(
-        _series_matrix(t, cap, lambda a: (binomial_mod_ell(a, ell, cap),
-                                          binomial_mod_ell(-a, ell, cap))),
-        ell, cap)
+        _series_matrix(t, cap, lambda a: binomial_mod_ell(a, ell, cap)), ell, cap)
 
 
 def _doubled_lambda_mod_ell(t: Tower, cap: int, limit: int) -> tuple:
@@ -448,7 +453,8 @@ def iwasawa_invariants(t: Tower, cap: int = DEFAULT_CAP,
     if not certify_levels_connected(t):
         raise DisconnectedError(
             "tower levels are disconnected; invariants are undefined")
-    if t.exact:
+    precision = _voltage_precision(t)
+    if precision is None:
         ld = _tower_p(t)
         if ld.is_zero():
             raise ValidationError(
@@ -456,12 +462,11 @@ def iwasawa_invariants(t: Tower, cap: int = DEFAULT_CAP,
         mu = ld.mu(t.ell)
         lam_f = ld.lambda_f(t.ell)
         return IwasawaData(mu=mu, lam=lam_f - 1)
-    min_prec = min(v.precision for v in t.values.values() if isinstance(v, PadicTruncated))
-    lam_f, cap = _doubled_lambda_mod_ell(t, cap, min(max_cap, t.ell ** min_prec - 1))
+    lam_f, cap = _doubled_lambda_mod_ell(t, cap, min(max_cap, t.ell ** precision - 1))
     if lam_f is None:
         raise PrecisionError(
             f"mu possibly positive beyond the working precision "
-            f"(cap {cap}, voltage precision {min_prec})")
+            f"(cap {cap}, voltage precision {precision})")
     return IwasawaData(mu=0, lam=lam_f - 1)
 
 
@@ -695,23 +700,15 @@ def twisted_characteristic_series(t: Tower, va_beta: VoltageAssignment,
         raise UnsupportedError("twisted series need a declared abelian group")
     if va_beta.graph is not t.graph:
         raise ValidationError("beta must live on the tower base")
-    g = t.graph.vertex_count
-    zero = TruncatedPowerSeries.zero(cap)
-    M = [[zero for _ in range(g)] for _ in range(g)]
-    val = [0] * g
-    for s in t.orientation:
-        i, j = t.graph.origin[s], t.graph.terminus[s]
-        a = t.values[s]
-        if not isinstance(a, int):
-            raise UnsupportedError("twisted series require exact integer voltages")
+    if not t.exact:
+        raise UnsupportedError("twisted series require exact integer voltages")
+
+    def weight(s):
         b = va_beta.values[s]
-        val[i] += 1
-        val[j] += 1
-        M[i][j] = M[i][j] - binomial_series(a, cap) * psi(b)
-        M[j][i] = M[j][i] - binomial_series(-a, cap) * psi.value_at_inverse(b)
-    for i in range(g):
-        M[i][i] = M[i][i] + val[i]
-    return ring_determinant(M)
+        return psi(b), psi.value_at_inverse(b)
+
+    M = _series_matrix(t, cap, lambda a: binomial_coefficients(a, cap), weight)
+    return ring_determinant([[TruncatedPowerSeries(e) for e in row] for row in M])
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .cyclotomic import CyclotomicElement
+from .cyclotomic import CyclotomicElement, _poly_divmod_exact
 from .errors import ValidationError
 
 
@@ -118,28 +118,12 @@ class Poly:
 
     def divexact(self, other: "Poly") -> "Poly":
         """Exact polynomial division (integer coefficients); raises if not exact."""
-        num = list(self.coeffs)
-        den = list(other.coeffs)
-        if _is_zero(den[-1]):
+        if other.degree < 0:
             raise ValidationError("division by zero polynomial")
-        qlen = len(num) - len(den) + 1
-        if qlen <= 0:
-            if all(_is_zero(c) for c in num):
-                return Poly([0])
-            raise ValidationError("non-exact polynomial division")
-        q = [0] * qlen
-        for i in range(qlen - 1, -1, -1):
-            c = num[i + len(den) - 1]
-            if isinstance(c, int) and isinstance(den[-1], int):
-                if c % den[-1] != 0:
-                    raise ValidationError("non-exact polynomial division")
-                f = c // den[-1]
-            else:
-                raise ValidationError("exact division only over the integers")
-            q[i] = f
-            for j, d in enumerate(den):
-                num[i + j] = num[i + j] - f * d
-        if any(not _is_zero(c) for c in num):
+        if not all(isinstance(c, int) for c in self.coeffs + other.coeffs):
+            raise ValidationError("exact division only over the integers")
+        q, rem = _poly_divmod_exact(list(self.coeffs), list(other.coeffs))
+        if rem:
             raise ValidationError("non-exact polynomial division")
         return Poly(q)
 

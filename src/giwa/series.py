@@ -9,12 +9,13 @@ truncated_determinant over (Z/ell^N)[T]/(T^(cap+1)) with every series held as
 a list of residues and multiplied as one packed integer.  Over the field
 F_ell no division-free method is needed: truncated_valuation finds the
 T-adic valuation of a determinant mod (ell, T^(cap+1)) by elimination.
+The series (1+T)^a has one kernel, binomial_coefficients; its residues mod
+ell^N (binomial_residues) and mod ell (binomial_mod_ell) are reductions of it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from typing import Sequence
 
 from .cyclotomic import CyclotomicElement, euler_phi
@@ -123,11 +124,6 @@ class TruncatedPowerSeries:
     @property
     def cap(self) -> int:
         return len(self.coeffs) - 1
-
-    @staticmethod
-    def constant(value, cap: int) -> "TruncatedPowerSeries":
-        zero = value * 0
-        return TruncatedPowerSeries([value] + [zero] * cap)
 
     @staticmethod
     def one(cap: int) -> "TruncatedPowerSeries":
@@ -269,47 +265,39 @@ def binomial_coefficients(a: int, cap: int) -> list:
     return out
 
 
-def binomial_residues(a: "PadicTruncated", cap: int) -> tuple:
-    """(N, [c_0, ..., c_cap]): the coefficients of (1+T)^a as residues mod ell^N.
+def binomial_digits(ell: int, precision: int, cap: int) -> int:
+    """N = precision - ord_ell(cap!): the digits mod which a voltage known mod
+    ell^precision fixes (1+T)^a through T^cap.
 
-    a is known mod ell^P.  Dividing the numerator product by k! costs up to
-    ord_ell(cap!) digits, so ord_ell(cap!) guard digits of the input are
-    consumed and N = P - ord_ell(cap!); each residue is provably correct mod
-    ell^N.  The valuation and the unit part of k! are carried from k - 1.
+    binom(a, k) is an integer polynomial in a divided by k!, so it is fixed
+    mod ell^(precision - ord_ell(k!)); ord_ell(cap!) guard digits of the
+    input are consumed.  PrecisionError when none are left.
     """
-    ell, P = a.ell, a.precision
     guard = ord_factorial(cap, ell)
-    n_out = P - guard
-    if n_out < 1:
+    if precision - guard < 1:
         raise PrecisionError(
-            f"voltage precision {P} leaves no digits after the ord({cap}!) = "
+            f"voltage precision {precision} leaves no digits after the ord({cap}!) = "
             f"{guard} guard; raise the precision or lower the cap")
-    big = ell ** P
-    out_mod = ell ** n_out
-    out = [1]
-    num = 1
-    v = 0           # ord_ell(k!)
-    unit = 1        # k! / ell^v, mod ell^N
-    for k in range(1, cap + 1):
-        num = num * (a.value - (k - 1)) % big
-        j = k
-        while j % ell == 0:
-            j //= ell
-            v += 1
-        unit = unit * j % out_mod
-        scale = ell ** v
-        out.append((num % (scale * out_mod)) // scale * pow(unit, -1, out_mod) % out_mod)
-    return n_out, out
+    return precision - guard
+
+
+def binomial_residues(a: "PadicTruncated", cap: int) -> tuple:
+    """(N, [c_0, ..., c_cap]): the coefficients of (1+T)^a for a known mod
+    ell^P, as the binomials of its integer representative mod ell^N,
+    N = binomial_digits(ell, P, cap)."""
+    n_out = binomial_digits(a.ell, a.precision, cap)
+    mod = a.ell ** n_out
+    return n_out, [c % mod for c in binomial_coefficients(a.value, cap)]
 
 
 def binomial_mod_ell(a, ell: int, cap: int) -> list:
     """Coefficients of (1+T)^a mod ell through degree cap, for an int or a
     PadicTruncated a.
 
-    By Lucas's theorem (1+T)^a = prod_i (1 + T^(ell^i))^(a_i) mod ell over the
-    base-ell digits a_i of a mod ell^L, for any ell^L > cap; a voltage known
-    mod ell^P therefore fixes the series for cap < ell^P.  Digit i fills the
-    coefficients below ell^(i+1) from those below ell^i.
+    (1+T)^(ell^L) = 1 + T^(ell^L) mod ell, so for ell^L > cap the series
+    depends only on a mod ell^L: it is binomial_coefficients(a mod ell^L)
+    reduced mod ell.  A voltage known mod ell^P therefore fixes it for
+    cap < ell^P.
     """
     if isinstance(a, PadicTruncated):
         if ell ** a.precision <= cap:
@@ -317,15 +305,10 @@ def binomial_mod_ell(a, ell: int, cap: int) -> list:
                 f"voltage known mod {ell}^{a.precision} fixes (1+T)^a mod {ell} "
                 f"only below T^{ell ** a.precision}, not through T^{cap}")
         a = a.value
-    out = [1]
-    while len(out) <= cap:
-        a, digit = divmod(a, ell)
-        low = out
-        out = []
-        for j in range(ell):
-            b = comb(digit, j) % ell
-            out += [b * c % ell for c in low] if b else [0] * len(low)
-    return out[:cap + 1]
+    period = 1
+    while period <= cap:
+        period *= ell
+    return [c % ell for c in binomial_coefficients(a % period, cap)]
 
 
 def binomial_series(a, cap: int) -> TruncatedPowerSeries:
@@ -333,7 +316,7 @@ def binomial_series(a, cap: int) -> TruncatedPowerSeries:
 
     For integer a the coefficients are exact integers (negative a gives the
     alternating binomials).  For a known only mod ell^P the coefficients come
-    back at precision P - ord_ell(cap!) (see binomial_residues).
+    back at precision P - ord_ell(cap!) (see binomial_digits).
     """
     if isinstance(a, int):
         return TruncatedPowerSeries(binomial_coefficients(a, cap))

@@ -394,6 +394,14 @@ class TestFactorization:
                                      cap=32)
         assert report.passed
 
+    def test_zero_voltage_loop_under_nontrivial_character(self):
+        # beta(s2) = 1 twists the loop of voltage 0: each nontrivial f_psi
+        # has 4 - zeta - zeta^-1 - (1+T) - (1+T)^-1 on its diagonal, an int
+        # and Z[zeta] terms in one Laurent term u^0
+        t = tower(bouquet(2), 3, {"s1": 1, "s2": 0})
+        report = factorization_check(t, {"s1": 0, "s2": 1}, cap=24)
+        assert report.passed and not report.lhs.is_zero()
+
     def test_randomized_degree_ell(self):
         rng = random.Random(79)
         done = 0

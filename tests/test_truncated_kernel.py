@@ -10,7 +10,7 @@ takes ring_determinant over them, one coefficient object at a time.
 import math
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from giwa import (IwasawaData, PadicTruncated, PrecisionError, Tower,
                   TruncatedPowerSeries, binomial_series, bouquet,
@@ -83,8 +83,21 @@ def truncate(draw, t, low):
     return Tower(graph=t.graph, orientation=t.orientation, ell=t.ell, values=values)
 
 
+class Replay:
+    """Stands in for st.data() in an @example: draw returns the given values in turn."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def draw(self, _strategy):
+        return self.values.pop(0)
+
+
 @SETTINGS
 @given(st.data())
+# two loops with voltage 0 known mod 2^8 and mod 2^9 at cap 8 (ord_2(8!) = 7):
+# one diagonal term, certified mod 2^1 by the weaker voltage
+@example(data=Replay(tower(bouquet(2), 2, {"s1": 0, "s2": 0}), 8, 8, 9))
 def test_packed_kernel_matches_generic_determinant(data):
     t = data.draw(exact_towers(30))
     cap = data.draw(st.integers(8, cap_for(t.graph.vertex_count)))
