@@ -6,7 +6,9 @@ integer voltages every entry is an integer Laurent polynomial in u = 1 + T,
 so f = P(u) / u^K for an integer polynomial P read exactly off one
 determinant at u = 2^B as signed base-2^B digits (Kronecker substitution);
 |coefficients| <= prod_i sqrt(sum_j ||M_ij||_1^2), Hadamard's bound for |P|
-on |u| = 1, keep the digits apart.  That finite object yields mu and
+on |u| = 1, keep the digits apart.  D - A_rho at 1/u is its transpose, so P
+is a palindrome, c_j = c_(2K-j), read from both ends of one determinant at
+about half that width.  That finite object yields mu and
 lambda exactly: mu is the minimal ell-valuation of the coefficients of P
 (the basis change between powers of u and powers of T is unimodular, and
 u^(-K) is a unit power series), and lambda(f) is the multiplicity of the
@@ -62,6 +64,8 @@ class Tower:
     Level n of the tower is the derived graph of the voltage reduced mod
     ell^n.  The base must have nonzero Euler characteristic; connectedness
     of the levels is certified separately (see certify_levels_connected).
+    Each voltage is an int or a PadicTruncated for the same ell; any other
+    type is refused here, for every entry point at once.
     The voltages are a read-only copy, since the tower caches its Laurent
     determinant P and its pullbacks (see _tower_p and lift_tower).
     """
@@ -87,6 +91,11 @@ class Tower:
             if d not in self.values:
                 raise ValidationError(
                     f"missing voltage on {self.graph.edge_label(d)}")
+            v = self.values[d]
+            if not isinstance(v, (int, PadicTruncated)):
+                raise UnsupportedError(f"unsupported exponent type {type(v).__name__}")
+            if isinstance(v, PadicTruncated) and v.ell != self.ell:
+                raise ValidationError("mixed primes in p-adic arithmetic")
 
     @property
     def exact(self) -> bool:
@@ -270,19 +279,77 @@ def kronecker_determinant(ent: list) -> tuple:
     determinant at u = 2^B, read as signed base-2^B digits: on |u| = 1,
     |P| <= H (Hadamard) and each coefficient is a mean of P(u) u^(-k), so
     |coefficient| <= H < 2^(B-2) (see _slot_bits).
+
+    A self-reciprocal matrix, entry (j, i)(u) = entry (i, j)(1/u) as a tower's
+    D - A_rho is, has det(ent)(1/u) = det(ent)(u), so c_j = c_(2K-j): P is
+    nonzero only on the window [lo, 2K - lo], lo = max(0, 2K - D), and is
+    read off one determinant at u = X = 2^b of about half the width, with
+    X^2 > 16 H (see _palindromic_digits).
     """
     slot = _slot_bits(ent)
     shifts, degbound = _degree_bound(ent)
-    M = [[sum(c << slot * (e + s) for e, c in d.items()) for d in row]
-         for row, s in zip(ent, shifts)]
-    # P(2^B) plus half = 2^(B-1) in every digit, which puts each digit in [0, 2^B)
-    half = 1 << (slot - 1)
-    biased = bareiss_determinant(M) + int(("1" + "0" * (slot - 1)) * (degbound + 1), 2)
-    bits = format(biased, f"0{slot * (degbound + 1)}b")
-    coeffs = [int(bits[k - slot:k], 2) - half for k in range(len(bits), 0, -slot)]
+    shift = sum(shifts)
+    # self-reciprocal: entry (j, i) is entry (i, j) with every exponent negated
+    if all(ent[j][i] == {-e: c for e, c in ent[i][j].items()}
+           for i in range(len(ent)) for j in range(i + 1)):
+        width = (slot + 3) // 2          # the least b with 4^b >= 2^(B+2) > 16 H
+        lo = max(0, 2 * shift - degbound)
+        det = bareiss_determinant(_kronecker_matrix(ent, shifts, width))
+        if det & ((1 << width * lo) - 1):
+            raise GiwaError("Kronecker determinant is not a multiple of X^lo")
+        coeffs = [0] * lo + _palindromic_digits(det >> width * lo, shift - lo,
+                                                width, 1 << (slot - 2))
+    else:
+        # P(2^B) plus half = 2^(B-1) in every digit, which puts each digit in [0, 2^B)
+        half = 1 << (slot - 1)
+        biased = (bareiss_determinant(_kronecker_matrix(ent, shifts, slot))
+                  + int(("1" + "0" * (slot - 1)) * (degbound + 1), 2))
+        bits = format(biased, f"0{slot * (degbound + 1)}b")
+        coeffs = [int(bits[k - slot:k], 2) - half for k in range(len(bits), 0, -slot)]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
-    return tuple(coeffs), sum(shifts)
+    return tuple(coeffs), shift
+
+
+def _kronecker_matrix(ent: list, shifts: list, width: int) -> list:
+    """The matrix at u = 2^width, row i times u^(shifts[i])."""
+    return [[sum(c << width * (e + s) for e, c in d.items()) for d in row]
+            for row, s in zip(ent, shifts)]
+
+
+def _palindromic_digits(q: int, h: int, width: int, bound: int) -> list:
+    """[c_0, ..., c_2h] with c_j = c_(2h-j), every |c_j| < bound, and
+    q = sum c_j X^j for X = 2^width; GiwaError if the read ones fail either.
+
+    When X^2 >= 16 bound, one pass over q's base-X digits d_j reads them from
+    both ends.  From below, c_k = d_k - carry mod X, with carry the running
+    remainder of the c_j below k.  From above, top = floor(q / X^(2h-k)) less
+    the c_j above 2h - k is c_(2h-k) = c_k plus an error below
+    bound / (X - 1) + 1 < X / 2, which the residue resolves.  The two
+    remainders meet at X^h, where q - sum c_j X^j = X^h (top - carry).  A
+    palindrome that passed both checks but was wrong would differ from the
+    true one by a nonzero palindrome vanishing at X, whose coefficients
+    reach X (X - 1); so even a width with X (X - 1) >= 2 bound, below the
+    margin, gives the true c_j or raises.
+    """
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    n = width * (2 * h + 1)
+    bits = format(q & ((1 << n) - 1), f"0{n}b")
+    digits = [int(bits[k - width:k], 2) for k in range(n, 0, -width)]
+    coeffs = [0] * (2 * h + 1)
+    carry, top = 0, q >> width * 2 * h
+    for k in range(h + 1):
+        low = (digits[k] - carry) & mask                  # c_k mod X
+        c = top - ((top - low + half) & mask) + half       # = low mod X, within X/2 of top
+        coeffs[k] = coeffs[2 * h - k] = c
+        top -= c
+        if k < h:
+            carry = (carry + c - digits[k]) >> width
+            top = (top << width) + digits[2 * h - k - 1]
+    if top != carry or any(abs(c) >= bound for c in coeffs):
+        raise GiwaError("Kronecker digits do not read back as a bounded palindrome")
+    return coeffs
 
 
 def _degree_bound(ent: list) -> tuple:
@@ -335,14 +402,9 @@ def characteristic_series(t: Tower, cap: int = DEFAULT_CAP) -> TruncatedPowerSer
 
 def _voltage_precision(t: Tower) -> int | None:
     """The least precision P of the tower's truncated voltages, None when all
-    are integers; a voltage of another type or prime is refused."""
-    truncated = [t.values[s] for s in t.orientation if not isinstance(t.values[s], int)]
-    for a in truncated:
-        if not isinstance(a, PadicTruncated):
-            raise UnsupportedError(f"unsupported exponent type {type(a).__name__}")
-        if a.ell != t.ell:
-            raise ValidationError("mixed primes in p-adic arithmetic")
-    return min((a.precision for a in truncated), default=None)
+    are integers."""
+    return min((t.values[s].precision for s in t.orientation
+                if not isinstance(t.values[s], int)), default=None)
 
 
 def _series_matrix(t: Tower, cap: int, entry, weight=None) -> list:
