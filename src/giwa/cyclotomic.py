@@ -20,17 +20,19 @@ from .numtheory import ord_int, prime_divisors, prime_power_exponent
 
 
 def _poly_trim(c: list) -> list:
-    while c and c[-1] == 0:
+    while c and not c[-1]:
         c.pop()
     return c
 
 
 def _poly_mul(a: list, b: list) -> list:
+    """Schoolbook product of coefficient lists, low degree first, over int or
+    CyclotomicElement coefficients (zero is falsy in both)."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x == 0:
+        if not x:
             continue
         for j, y in enumerate(b):
             out[i + j] += x * y
@@ -54,6 +56,14 @@ def _poly_divmod_exact(num: list, den: list) -> tuple:
         for j, d in terms:
             num[i + j] -= f * d
     return q, _poly_trim(num)
+
+
+def render_terms(coeffs, var: str) -> str:
+    """c_0 + c_1*var + c_2*var^2 + ..., leaving out every coefficient equal to
+    0; "0" when all are."""
+    parts = [f"{c}" if k == 0 else f"{c}*{var}" if k == 1 else f"{c}*{var}^{k}"
+             for k, c in enumerate(coeffs) if c != 0]
+    return " + ".join(parts) if parts else "0"
 
 
 @lru_cache(maxsize=None)

@@ -423,8 +423,10 @@ def count_spanning_trees_bruteforce(graph: Multigraph) -> int:
     return count
 
 
-def _tree_from_edges(graph: Multigraph, v0: int, tree_undirected: set) -> list:
-    """Parent directed edge for each vertex, searching only inside the tree edges."""
+def _bfs_parent_edges(graph: Multigraph, v0: int, allowed: set | None = None) -> list:
+    """Parent directed edge for each vertex in a breadth-first search from v0,
+    edges taken in declaration order and only undirected ones in allowed
+    (every edge when None)."""
     parent_edge = [None] * graph.vertex_count
     seen = [False] * graph.vertex_count
     seen[v0] = True
@@ -432,7 +434,7 @@ def _tree_from_edges(graph: Multigraph, v0: int, tree_undirected: set) -> list:
     while queue:
         i = queue.pop(0)
         for d in graph.out_edges(i):
-            if (d >> 1) not in tree_undirected:
+            if allowed is not None and (d >> 1) not in allowed:
                 continue
             j = graph.terminus[d]
             if not seen[j]:
@@ -459,6 +461,7 @@ def pi1_basis(graph: Multigraph, v0: VertexId, orientation: Orientation | None =
         orientation = graph.default_orientation()
     base = graph.vertex_index(v0)
 
+    tree = None
     if tree_edge_ids is not None:
         wanted = set(tree_edge_ids)
         tree = {k for k, eid in enumerate(graph.edge_ids) if eid in wanted}
@@ -467,22 +470,8 @@ def pi1_basis(graph: Multigraph, v0: VertexId, orientation: Orientation | None =
             raise ValidationError(f"unknown tree edge ids {sorted(map(str, missing))}")
         if len(tree) != graph.vertex_count - 1:
             raise ValidationError("spanning tree must have |V| - 1 edges")
-        parent_edge = _tree_from_edges(graph, base, tree)
-    else:
-        parent_edge = [None] * graph.vertex_count
-        seen = [False] * graph.vertex_count
-        seen[base] = True
-        queue = [base]
-        tree = set()
-        while queue:
-            i = queue.pop(0)
-            for d in graph.out_edges(i):
-                j = graph.terminus[d]
-                if not seen[j]:
-                    seen[j] = True
-                    parent_edge[j] = d
-                    tree.add(d >> 1)
-                    queue.append(j)
+    parent_edge = _bfs_parent_edges(graph, base, tree)
+    tree = {d >> 1 for d in parent_edge if d is not None}
 
     def path_from_base(i: int) -> list:
         rev = []

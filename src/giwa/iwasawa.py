@@ -29,6 +29,7 @@ through T^cap, with the cap doubled up to what the voltages fix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import isqrt
 from types import MappingProxyType
 from typing import Mapping
@@ -206,13 +207,9 @@ class LaurentDeterminant:
     shift: int         # K
 
     def series(self, cap: int) -> TruncatedPowerSeries:
-        out = [0] * (cap + 1)
-        for d, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            for k, b in enumerate(binomial_coefficients(d - self.shift, cap)):
-                out[k] += c * b
-        return TruncatedPowerSeries(out)
+        terms = ((d - self.shift, c) for d, c in enumerate(self.coeffs) if c)
+        return TruncatedPowerSeries(
+            _binomial_sum(terms, lambda a: binomial_coefficients(a, cap), [0] * (cap + 1)))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -407,26 +404,28 @@ def _voltage_precision(t: Tower) -> int | None:
                 if not isinstance(t.values[s], int)), default=None)
 
 
+def _binomial_sum(terms, entry, zero: list) -> list:
+    """The coefficients of sum c (1+T)^a over the terms (a, c), with entry(a)
+    those of (1+T)^a and zero the list of as many zeros, returned when there
+    are no terms.  Zero coefficients of entry(a) are skipped, so they stay
+    integers."""
+    out = zero
+    for a, c in terms:
+        out = [x + c * y if y else x for x, y in zip(out, entry(a))]
+    return out
+
+
 def _series_matrix(t: Tower, cap: int, entry, weight=None) -> list:
     """D - A_rho through T^cap, each entry a list of cap + 1 coefficients.
 
     Each term c u^a of _laurent_matrix(t, t.values, weight) becomes c times
     entry(a), the coefficients of (1+T)^a for an integer a, computed once per
-    exponent.  Zero coefficients of entry(a) are skipped, so they stay
-    integers; the entries of D - A_rho that stay zero share one list.
+    exponent (_binomial_sum); the entries of D - A_rho that stay zero share
+    one list.
     """
+    entry = lru_cache(maxsize=None)(entry)
     zero = [0] * (cap + 1)
-    series = {}
-
-    def cell(terms):
-        out = zero
-        for a, c in terms.items():
-            if a not in series:
-                series[a] = entry(a)
-            out = [x + c * y if y else x for x, y in zip(out, series[a])]
-        return out
-
-    return [[cell(terms) for terms in row]
+    return [[_binomial_sum(terms.items(), entry, zero) for terms in row]
             for row in _laurent_matrix(t, t.values, weight)]
 
 
@@ -559,10 +558,11 @@ def kappa_ord_sequence(t: Tower, n_max: int, factor: bool = False,
             raise ResourceLimitError(
                 f"level {n} has {n_vertices} vertices, over the cap {vertex_cap} "
                 f"(set GIWA_VERTEX_CAP to raise)")
-        va = level_assignment(t, n)      # PrecisionError past the voltage precision
+        for d in t.orientation:
+            t.value_mod(d, n)            # PrecisionError past the voltage precision
         if n == 1:
             # level 1 connected certifies every level (certify_levels_connected)
-            _require_level_connected(t, va, n)
+            _require_level_connected(t, level_assignment(t, n), n)
     kappas = [spanning_tree_count(t.graph)]
     if n_max > 0:
         ld = getattr(t, "_p", None)
@@ -713,12 +713,6 @@ class KidaReport:
         if not self.mu_equivalence:
             return False
         return self.formula_holds is not False
-
-    def identity_string(self) -> str:
-        lhs = self.cover.lam + 1
-        rhs = f"{self.degree} * ({self.base.lam} + 1)"
-        mark = "ok" if self.formula_holds else "FAIL"
-        return f"{lhs} = {rhs}  [{mark}]"
 
 
 def kida_verify(t: Tower, beta_by_edge_id: Mapping, group: FiniteGroup) -> KidaReport:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .cyclotomic import CyclotomicElement, _poly_divmod_exact
+from .cyclotomic import CyclotomicElement, _poly_divmod_exact, _poly_mul, render_terms
 from .errors import ValidationError
 
 
@@ -21,7 +21,7 @@ class Poly:
 
     def __init__(self, coeffs: Sequence):
         c = list(coeffs)
-        while len(c) > 1 and _is_zero(c[-1]):
+        while len(c) > 1 and c[-1] == 0:
             c.pop()
         if not c:
             c = [0]
@@ -33,7 +33,7 @@ class Poly:
 
     @property
     def degree(self) -> int:
-        if len(self.coeffs) == 1 and _is_zero(self.coeffs[0]):
+        if len(self.coeffs) == 1 and self.coeffs[0] == 0:
             return -1
         return len(self.coeffs) - 1
 
@@ -74,13 +74,7 @@ class Poly:
             return Poly([a * other for a in self.coeffs])
         if not isinstance(other, Poly):
             return NotImplemented
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if _is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(out)
+        return Poly(_poly_mul(list(self.coeffs), list(other.coeffs)))
 
     __rmul__ = __mul__
 
@@ -128,28 +122,10 @@ class Poly:
         return Poly(q)
 
     def render(self, var: str = "u") -> str:
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if _is_zero(c):
-                continue
-            if k == 0:
-                parts.append(f"{c}")
-            elif k == 1:
-                parts.append(f"{c}*{var}")
-            else:
-                parts.append(f"{c}*{var}^{k}")
-        return " + ".join(parts) if parts else "0"
+        return render_terms(self.coeffs, var)
 
     def __repr__(self):
         return self.render()
-
-
-def _is_zero(c) -> bool:
-    if isinstance(c, int):
-        return c == 0
-    if isinstance(c, CyclotomicElement):
-        return not bool(c)
-    return c == 0
 
 
 def interpolate_at_integers(values: Sequence[int]) -> list:

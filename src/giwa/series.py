@@ -4,11 +4,12 @@ Coefficients may be Python ints (exact integers), PadicTruncated residues
 (known mod ell^N), or CyclotomicElement values.  All arithmetic is exact
 through the degree cap; multiplication truncates.  The determinants here are
 division-free (Berkowitz) because series rings have non-unit constant terms:
-ring_determinant over any of these coefficient rings, and
-truncated_determinant over (Z/ell^N)[T]/(T^(cap+1)) with every series held as
-a list of residues and multiplied as one packed integer.  Over the field
-F_ell no division-free method is needed: truncated_valuation finds the
-T-adic valuation of a determinant mod (ell, T^(cap+1)) by elimination.
+one recursion, _berkowitz, runs ring_determinant over any of these
+coefficient rings, and truncated_determinant over (Z/ell^N)[T]/(T^(cap+1))
+with every series held as a list of residues and multiplied as one packed
+integer.  Over the field F_ell no division-free method is needed:
+truncated_valuation finds the T-adic valuation of a determinant mod
+(ell, T^(cap+1)) by elimination.
 The series (1+T)^a has one kernel, binomial_coefficients; its residues mod
 ell^N (binomial_residues) and mod ell (binomial_mod_ell) are reductions of it.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .cyclotomic import CyclotomicElement, euler_phi
+from .cyclotomic import CyclotomicElement, euler_phi, render_terms
 from .errors import PrecisionError, UnsupportedError, ValidationError
 from .numtheory import ord_factorial, ord_int, prime_divisors, prime_power_exponent
 
@@ -186,7 +187,7 @@ class TruncatedPowerSeries:
         return hash(self.coeffs)
 
     def is_zero(self) -> bool:
-        return all(_coeff_is_zero(c) for c in self.coeffs)
+        return all(c == 0 for c in self.coeffs)
 
     def inverse(self) -> "TruncatedPowerSeries":
         """Multiplicative inverse; the constant term must be a unit."""
@@ -208,18 +209,7 @@ class TruncatedPowerSeries:
         return TruncatedPowerSeries(out)
 
     def render(self, var: str = "T") -> str:
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if _coeff_is_zero(c):
-                continue
-            if k == 0:
-                parts.append(f"{c}")
-            elif k == 1:
-                parts.append(f"{c}*{var}")
-            else:
-                parts.append(f"{c}*{var}^{k}")
-        body = " + ".join(parts) if parts else "0"
-        return f"{body} + O({var}^{self.cap + 1})"
+        return f"{render_terms(self.coeffs, var)} + O({var}^{self.cap + 1})"
 
     def to_json(self) -> dict:
         """Coefficient array plus ring metadata, JSON-serializable."""
@@ -239,16 +229,6 @@ class TruncatedPowerSeries:
 
     def __repr__(self):
         return self.render()
-
-
-def _coeff_is_zero(c) -> bool:
-    if isinstance(c, int):
-        return c == 0
-    if isinstance(c, PadicTruncated):
-        return c.value == 0
-    if isinstance(c, CyclotomicElement):
-        return not bool(c)
-    return c == 0
 
 
 # ---------------------------------------------------------------------------
@@ -373,53 +353,51 @@ def mu_lambda(series: TruncatedPowerSeries, ell: int) -> tuple:
 
 
 def ring_determinant(matrix: Sequence[Sequence]) -> object:
-    """Determinant over any commutative ring, without division.
-
-    Berkowitz' method: the characteristic polynomial vector of the leading
-    r x r block is obtained from the (r-1) x (r-1) one by a Toeplitz product
-    whose entries are -R M^k C for the border row R, column C and block M.
-    """
+    """Determinant over any commutative ring, without division (_berkowitz)."""
     n = len(matrix)
     if n == 0:
         return 1
     for row in matrix:
         if len(row) != n:
             raise ValidationError("determinant of a non-square matrix")
+    return _berkowitz(matrix, _ring_dot, lambda x: -x)
+
+
+def _ring_dot(xs, ys, negate=False):
+    total = 0
+    for x, y in zip(xs, ys):
+        total = total + x * y
+    return -total if negate else total
+
+
+def _berkowitz(matrix: Sequence[Sequence], dot, neg) -> object:
+    """det(matrix), n >= 1, by Berkowitz' method in a ring given by two
+    callables: dot(xs, ys, negate=False), the sum of the products x * y,
+    negated if asked, and neg(x) = -x.
+
+    The characteristic polynomial vector of the leading r x r block is
+    obtained from the (r-1) x (r-1) one by a Toeplitz product whose entries
+    are -R M^k C for the border row R, column C and block M.
+    """
+    n = len(matrix)
     if n == 1:
         return matrix[0][0]
     # p holds charpoly coefficients of the leading block, highest power first
-    p = [1, -matrix[0][0]]
+    p = [1, neg(matrix[0][0])]
     for r in range(2, n + 1):
-        a = matrix[r - 1][r - 1]
         R = matrix[r - 1][:r - 1]
-        C = [matrix[i][r - 1] for i in range(r - 1)]
-        s = [1, -a]
-        w = list(C)
-        dot = 0
-        for i in range(r - 1):
-            dot = dot + R[i] * w[i]
-        s.append(-dot)
+        w = [matrix[i][r - 1] for i in range(r - 1)]
+        s = [1, neg(matrix[r - 1][r - 1]), dot(R, w, negate=True)]
         for _ in range(r - 2):
-            w2 = []
-            for i in range(r - 1):
-                acc = 0
-                for j in range(r - 1):
-                    acc = acc + matrix[i][j] * w[j]
-                w2.append(acc)
-            w = w2
-            dot = 0
-            for i in range(r - 1):
-                dot = dot + R[i] * w[i]
-            s.append(-dot)
-        q = []
-        for i in range(r + 1):
-            acc = 0
-            for k in range(max(0, i - len(s) + 1), min(i, r - 1) + 1):
-                acc = acc + s[i - k] * p[k]
-            q.append(acc)
+            w = [dot(matrix[i][:r - 1], w) for i in range(r - 1)]
+            s.append(dot(R, w, negate=True))
+        # after the last step only q[n], the determinant up to sign, is read
+        q = [0] * (r + 1)
+        for i in range(r + 1) if r < n else (n,):
+            ks = range(max(0, i - r), min(i, r - 1) + 1)
+            q[i] = dot([s[i - k] for k in ks], [p[k] for k in ks])
         p = q
-    det = p[n]
-    return -det if n % 2 else det
+    return neg(p[n]) if n % 2 else p[n]
 
 
 def _check_series_matrix(matrix, length: int) -> None:
@@ -435,8 +413,8 @@ def truncated_determinant(matrix: Sequence[Sequence[Sequence[int]]], modulus: in
     """Determinant over (Z/modulus)[T]/(T^(cap+1)), as cap + 1 residues.
 
     Each entry is a list of cap + 1 integers, read mod modulus.  The recursion
-    is ring_determinant's, but every series is one packed integer (Kronecker
-    substitution): coefficient k fills slot k, of `width` bytes.  Every sum
+    is ring_determinant's, _berkowitz, but every series is one packed integer
+    (Kronecker substitution): coefficient k fills slot k, of `width` bytes.  Every sum
     the recursion forms has at most n products of reduced series, so its
     coefficients stay below n (cap + 1) (modulus - 1)^2 < 2^(8 width) and no
     slot carries into the next.  A sum is therefore multiplied and added
@@ -467,23 +445,7 @@ def truncated_determinant(matrix: Sequence[Sequence[Sequence[int]]], modulus: in
         return pack([sign * c % modulus for c in unpack(total)])
 
     M = [[pack([c % modulus for c in e]) for e in row] for row in matrix]
-    # p holds charpoly coefficients of the leading block, highest power first
-    p = [1, dot([1], [M[0][0]], negate=True)]
-    for r in range(2, n + 1):
-        R = M[r - 1][:r - 1]
-        w = [M[i][r - 1] for i in range(r - 1)]
-        s = [1, dot([1], [M[r - 1][r - 1]], negate=True), dot(R, w, negate=True)]
-        for _ in range(r - 2):
-            w = [dot(M[i][:r - 1], w) for i in range(r - 1)]
-            s.append(dot(R, w, negate=True))
-        # after the last step only q[n], the determinant up to sign, is read
-        q = [0] * (r + 1)
-        for i in range(r + 1) if r < n else (n,):
-            ks = range(max(0, i - r), min(i, r - 1) + 1)
-            q[i] = dot([s[i - k] for k in ks], [p[k] for k in ks])
-        p = q
-    sign = -1 if n % 2 else 1
-    return [sign * c % modulus for c in unpack(p[n])]
+    return unpack(_berkowitz(M, dot, lambda x: dot([1], [x], negate=True)))
 
 
 def truncated_valuation(matrix: Sequence[Sequence[Sequence[int]]], ell: int,

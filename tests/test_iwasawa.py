@@ -11,7 +11,7 @@ from giwa import (CyclotomicElement, DisconnectedError, NotStabilizedError,
                   twisted_characteristic_series, uniform_tower_check,
                   verify_uniform_quotients, voltage_assignment)
 from giwa.characters import all_characters, trivial_character
-from giwa.errors import ResourceLimitError
+from giwa.errors import PrecisionError, ResourceLimitError
 from giwa.groups import DIHEDRAL_REFLECTION, DIHEDRAL_ROTATION
 from giwa import refdata
 from giwa.iwasawa import certify_levels_connected
@@ -201,6 +201,28 @@ class TestKappaSequence:
     def test_vertex_cap(self):
         with pytest.raises(ResourceLimitError):
             kappa_ord_sequence(ex1_tower(), 8, vertex_cap=100)
+
+    @pytest.mark.parametrize("residue, p1, p2, n_max, vertex_cap, error, message", [
+        # level 3 is over the cap and past the precision: the cap is named
+        (1, 2, 2, 3, 26, ResourceLimitError,
+         "level 3 has 27 vertices, over the cap 26 (set GIWA_VERTEX_CAP to raise)"),
+        # level 3 fits, and its precision is refused before level 4's cap
+        (1, 2, 2, 4, 27, PrecisionError, "voltage known mod 3^2 cannot be reduced mod 3^3"),
+        (1, 5, 2, 6, 10 ** 6, PrecisionError, "voltage known mod 3^2 cannot be reduced mod 3^3"),
+        # a disconnected level 1 is refused before any later level
+        (3, 2, 2, 4, 1000, DisconnectedError,
+         "level 1 is disconnected: voltages generate a subgroup of order 1 inside Z/3^1"),
+        (3, 2, 2, 4, 2, ResourceLimitError,
+         "level 1 has 3 vertices, over the cap 2 (set GIWA_VERTEX_CAP to raise)"),
+    ])
+    def test_refusal_order(self, residue, p1, p2, n_max, vertex_cap, error, message):
+        # the vertex cap at level n, then the precision at level n, then
+        # (at level 1) connectedness, all before level n + 1
+        t = tower(bouquet(2), 3, {"s1": PadicTruncated(3, p1, residue),
+                                  "s2": PadicTruncated(3, p2, residue)})
+        with pytest.raises(error) as got:
+            kappa_ord_sequence(t, n_max, vertex_cap=vertex_cap)
+        assert str(got.value) == message
 
     def test_mu_zero_sequence_matches_lambda_eventually(self):
         rng = random.Random(71)

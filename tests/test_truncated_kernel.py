@@ -1,5 +1,5 @@
-"""The packed Z/ell^N series determinant against the generic one, and the
-truncated route against the exact Laurent route.
+"""The packed Z/ell^N series determinant against the generic one and against
+Laplace expansion, and the truncated route against the exact Laurent route.
 
 characteristic_series on truncated voltages runs Berkowitz over lists of
 residues mod ell^N with packed-integer products (truncated_determinant).  The
@@ -21,7 +21,7 @@ from giwa import (IwasawaData, PadicTruncated, PrecisionError, Tower,
 from giwa.iwasawa import certify_levels_connected
 from giwa.numtheory import ord_factorial
 from giwa.refdata import EX1
-from giwa.series import binomial_residues, truncated_determinant
+from giwa.series import binomial_residues, cofactor_determinant, truncated_determinant
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow,
@@ -179,6 +179,23 @@ def test_guard_refusal_is_the_binomial_one():
     with pytest.raises(PrecisionError) as got:
         characteristic_series(t, 27)
     assert str(got.value) == str(expected.value)
+
+
+@SETTINGS
+@given(st.data())
+def test_packed_kernel_matches_cofactor_expansion(data):
+    # ring_determinant runs the same Berkowitz recursion as the packed
+    # kernel, so the oracle here is Laplace expansion over integer series
+    n = data.draw(st.integers(0, 4))
+    cap = data.draw(st.integers(0, 6))
+    modulus = data.draw(st.sampled_from([2, 3, 5, 7])) ** data.draw(st.integers(1, 8))
+    entry = st.one_of(st.just([0] * (cap + 1)),
+                      st.lists(st.integers(-2 ** 40, 2 ** 40),
+                               min_size=cap + 1, max_size=cap + 1))
+    matrix = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+    want = cofactor_determinant([[TruncatedPowerSeries(e) for e in row] for row in matrix])
+    want = want.coeffs if n else [1] + [0] * cap
+    assert truncated_determinant(matrix, modulus, cap) == [c % modulus for c in want]
 
 
 def test_kernel_on_explicit_matrices():
