@@ -338,9 +338,6 @@ def main(argv=None) -> int:
     except (PrecisionError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except NotStabilizedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except GiwaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

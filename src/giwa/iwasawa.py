@@ -41,7 +41,7 @@ from .errors import (DisconnectedError, GiwaError, PrecisionError,
 from .graphs import (Multigraph, Orientation, bareiss_determinant,
                      euler_characteristic, is_connected, spanning_tree_count)
 from .groups import FiniteGroup, cyclic, product
-from .numtheory import is_prime, ord_int, prime_power_exponent
+from .numtheory import factor_integer, is_prime, ord_int, prime_power_exponent
 from .series import (PadicTruncated, TruncatedPowerSeries, binomial_coefficients,
                      binomial_digits, binomial_mod_ell, ring_determinant,
                      truncated_determinant, truncated_valuation)
@@ -577,28 +577,6 @@ def kappa_ord_sequence(t: Tower, n_max: int, factor: bool = False,
             kappas.append(kappa)
     return [(n, k, ord_int(k, t.ell), factor_integer(k) if factor else None)
             for n, k in enumerate(kappas)]
-
-
-def factor_integer(n: int, trial_limit: int = 1_000_000) -> list:
-    """Trial-division factorization [(prime, exponent)]; large cofactors kept whole."""
-    if n == 0:
-        return [(0, 1)]
-    out = []
-    if n < 0:
-        out.append((-1, 1))
-        n = -n
-    p = 2
-    while p * p <= n and p <= trial_limit:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 def format_factorization(factors: list) -> str:

@@ -1,7 +1,10 @@
 """Small integer number theory shared by the kernels: primality, valuations,
-prime powers and prime divisors, all by trial division on machine-size inputs."""
+prime powers, factorizations and prime divisors, all by trial division on
+machine-size inputs."""
 
 from __future__ import annotations
+
+from .errors import ValidationError
 
 
 def is_prime(n: int) -> bool:
@@ -17,6 +20,8 @@ def is_prime(n: int) -> bool:
 
 def ord_int(n: int, ell: int) -> int | None:
     """ell-adic valuation of an integer; None for 0 (infinite)."""
+    if ell < 2:
+        raise ValidationError(f"valuations need ell >= 2, got {ell}")
     if n == 0:
         return None
     v = 0
@@ -38,25 +43,34 @@ def ord_factorial(n: int, ell: int) -> int:
 
 def prime_power_exponent(m: int, ell: int) -> int | None:
     """k with m = ell^k, or None.  m = 1 counts as the 0-th power."""
-    if m == 1:
-        return 0
-    k = 0
-    while m % ell == 0:
-        m //= ell
-        k += 1
-    return k if m == 1 else None
+    k = ord_int(m, ell)
+    return k if k is not None and m == ell ** k else None
+
+
+def factor_integer(n: int, trial_limit: int = 1_000_000) -> list:
+    """Trial-division factorization [(prime, exponent)]; large cofactors kept whole.
+
+    The last cofactor is prime when it is below trial_limit^2."""
+    if n == 0:
+        return [(0, 1)]
+    out = []
+    if n < 0:
+        out.append((-1, 1))
+        n = -n
+    p = 2
+    while p * p <= n and p <= trial_limit:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
 
 
 def prime_divisors(m: int) -> list:
-    """The distinct primes dividing m, in increasing order."""
-    out = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out.append(m)
-    return out
+    """The distinct primes dividing m >= 1, in increasing order; exact below 10^12."""
+    return [p for p, _e in factor_integer(m)]

@@ -100,6 +100,21 @@ class CoverMap:
         return [i for i, v in enumerate(self.vertex_map) if v == target_vertex]
 
 
+def _label_cover(source: Multigraph, target: Multigraph, vertex_image,
+                 edge_image) -> CoverMap:
+    """The morphism sending each vertex label v of source to the target vertex
+    labelled vertex_image(v), and the declared direction of each edge id e to
+    the target directed edge edge_image(e) (its reverse to the reverse)."""
+    edge_map = []
+    for eid in source.edge_ids:
+        d = edge_image(eid)
+        edge_map.extend((d, target.inv(d)))
+    return CoverMap(source=source, target=target,
+                    vertex_map=tuple(target.vertex_index(vertex_image(v))
+                                     for v in source.vertices),
+                    edge_map=tuple(edge_map))
+
+
 @dataclass(frozen=True)
 class DerivedGraph:
     """A derived graph together with its projection cover."""
@@ -291,21 +306,9 @@ def quotient_cover(va: VoltageAssignment, f: GroupHom) -> tuple:
                              group=f.target,
                              values={d: f(v) for d, v in va.values.items()})
     bottom = derived_graph(push)
-    tgt_vindex = {v: i for i, v in enumerate(bottom.graph.vertices)}
-    vmap = [tgt_vindex[(v, f(sigma))] for (v, sigma) in top.graph.vertices]
-    # derived undirected edge k came from (s = S[k // |G|], sigma = elements[k % |G|])
-    n_g = va.group.order
-    elems = va.group.elements
-    tgt_order = {e: i for i, e in enumerate(f.target.elements)}
-    emap = []
-    for k in range(top.graph.undirected_edge_count):
-        s_pos, sigma_pos = divmod(k, n_g)
-        sigma_img = f(elems[sigma_pos])
-        k_tgt = s_pos * f.target.order + tgt_order[sigma_img]
-        emap.extend((2 * k_tgt, 2 * k_tgt + 1))
-    cov = CoverMap(source=top.graph, target=bottom.graph,
-                   vertex_map=tuple(vmap), edge_map=tuple(emap))
-    return cov, top, bottom
+    declared = {eid: 2 * k for k, eid in enumerate(bottom.graph.edge_ids)}
+    return (_label_cover(top.graph, bottom.graph, lambda v: (v[0], f(v[1])),
+                         lambda e: declared[(e[0], f(e[1]))]), top, bottom)
 
 
 @dataclass(frozen=True)
@@ -326,43 +329,27 @@ def pullback(p1: CoverMap, p2: CoverMap) -> Pullback:
     if p1.target is not p2.target and p1.target != p2.target:
         raise ValidationError("pullback requires a common target graph")
     g1, g2 = p1.source, p2.source
-    vpairs = [(i, j) for i in range(g1.vertex_count) for j in range(g2.vertex_count)
-              if p1.vertex_map[i] == p2.vertex_map[j]]
-    vid = {}
-    verts = []
-    for i, j in vpairs:
-        label = (g1.vertices[i], g2.vertices[j])
-        vid[(i, j)] = label
-        verts.append(label)
-    edges = []
-    reps = []
-    seen = set()
-    for d1 in range(g1.directed_edge_count):
-        for d2 in range(g2.directed_edge_count):
-            if p1.edge_map[d1] != p2.edge_map[d2]:
-                continue
-            if (d1, d2) in seen:
-                continue
-            seen.add((d1, d2))
-            seen.add((g1.inv(d1), g2.inv(d2)))
-            o = (g1.origin[d1], g2.origin[d2])
-            t = (g1.terminus[d1], g2.terminus[d2])
-            edges.append((vid[o], vid[t], (g1.edge_label(d1), g2.edge_label(d2))))
-            reps.append((d1, d2))
+    verts = [(v1, v2) for i, v1 in enumerate(g1.vertices)
+             for j, v2 in enumerate(g2.vertices)
+             if p1.vertex_map[i] == p2.vertex_map[j]]
+    above = {}                # target directed edge -> the g2 edges over it
+    for d2 in range(g2.directed_edge_count):
+        above.setdefault(p2.edge_map[d2], []).append(d2)
+    edges, over = [], {}      # over: pullback edge id -> the pair (d1, d2) under it
+    # (d1, d2) and (~d1, ~d2) are one undirected edge; keep the one with d1 declared
+    for d1 in range(0, g1.directed_edge_count, 2):
+        for d2 in above.get(p1.edge_map[d1], ()):
+            eid = (g1.edge_label(d1), g2.edge_label(d2))
+            over[eid] = (d1, d2)
+            edges.append(((g1.vertices[g1.origin[d1]], g2.vertices[g2.origin[d2]]),
+                          (g1.vertices[g1.terminus[d1]], g2.vertices[g2.terminus[d2]]),
+                          eid))
     graph = build_multigraph(verts, edges)
-    vmap1, vmap2 = [], []
-    for i, j in vpairs:
-        vmap1.append(i)
-        vmap2.append(j)
-    emap1, emap2 = [], []
-    for d1, d2 in reps:
-        emap1.extend((d1, g1.inv(d1)))
-        emap2.extend((d2, g2.inv(d2)))
-    pi1_map = CoverMap(source=graph, target=g1,
-                       vertex_map=tuple(vmap1), edge_map=tuple(emap1))
-    pi2_map = CoverMap(source=graph, target=g2,
-                       vertex_map=tuple(vmap2), edge_map=tuple(emap2))
-    return Pullback(graph=graph, to_first=pi1_map, to_second=pi2_map,
+    return Pullback(graph=graph,
+                    to_first=_label_cover(graph, g1, lambda v: v[0],
+                                          lambda e: over[e][0]),
+                    to_second=_label_cover(graph, g2, lambda v: v[1],
+                                           lambda e: over[e][1]),
                     component_count=len(components(graph)))
 
 
@@ -427,42 +414,18 @@ def verify_combined_iso(va_beta: VoltageAssignment, va_alpha: VoltageAssignment)
                               va_alpha.values, G1)
     big = derived_graph(lifted)
 
-    def relabel(v):
-        (base_v, pair) = v
-        return ((base_v, pair[0]), pair[1])
+    def relabel(x):
+        return ((x[0], x[1][0]), x[1][1])
 
-    target_index = {v: i for i, v in enumerate(big.graph.vertices)}
-    vmap = []
-    for v in combined.graph.vertices:
-        img = relabel(v)
-        if img not in target_index:
-            return False
-        vmap.append(target_index[img])
-    if len(set(vmap)) != big.graph.vertex_count:
+    declared = {eid: 2 * k for k, eid in enumerate(big.graph.edge_ids)}
+    try:
+        iso = _label_cover(combined.graph, big.graph, relabel,
+                           lambda e: declared[relabel(e)])
+    except (KeyError, ValidationError):
         return False
-    # match directed edges through endpoints + multiset of undirected ids:
-    # both sides have canonical ids ((s, sigma2), sigma1) vs (s, (sigma2, sigma1))
-    big_edge_index = {}
-    for k, eid in enumerate(big.graph.edge_ids):
-        big_edge_index[eid] = k
-    for k, eid in enumerate(combined.graph.edge_ids):
-        (s_label, pair) = eid
-        want = ((s_label, pair[0]), pair[1])
-        if want not in big_edge_index:
-            return False
-        k2 = big_edge_index[want]
-        # endpoints must relabel correctly, same declared direction
-        for off in (0, 1):
-            d, d2 = 2 * k + off, 2 * k2 + off
-            src = relabel(combined.graph.vertices[combined.graph.origin[d]])
-            dst = relabel(combined.graph.vertices[combined.graph.terminus[d]])
-            if src != big.graph.vertices[big.graph.origin[d2]] or \
-                    dst != big.graph.vertices[big.graph.terminus[d2]]:
-                return False
-        # projections to X must agree: combined projects to s, big projects
-        # through upstairs to s as well
-        d_img = big.projection.edge_map[2 * k2]
-        s_img = upstairs.projection.edge_map[d_img]
-        if combined.projection.edge_map[2 * k] != s_img:
-            return False
-    return True
+    if len(set(iso.vertex_map)) != big.graph.vertex_count or \
+            len(set(iso.edge_map)) != big.graph.directed_edge_count:
+        return False
+    down, up = combined.projection.edge_map, upstairs.projection.edge_map
+    return all(down[d] == up[big.projection.edge_map[img]]
+               for d, img in enumerate(iso.edge_map))

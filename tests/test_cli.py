@@ -269,6 +269,17 @@ class TestExamplesCommand:
     def test_unknown_example(self, capsys):
         assert main(["examples", "nope"]) == 2
 
+    def test_unstabilized_fit_exits_1(self, capsys, monkeypatch):
+        import giwa.cli
+        from giwa.iwasawa import NotStabilizedError
+
+        def refuse(*_args):
+            raise NotStabilizedError("no 3-point suffix fits")
+
+        monkeypatch.setattr(giwa.cli, "fit_iwasawa", refuse)
+        assert main(["examples", "ex1"]) == 1
+        assert capsys.readouterr().err == "error: no 3-point suffix fits\n"
+
     def test_unknown_name_refused_before_any_runner(self, capsys, monkeypatch):
         import giwa.iwasawa
         real = giwa.iwasawa._laurent_determinant

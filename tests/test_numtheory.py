@@ -1,7 +1,10 @@
 import math
 
-from giwa.numtheory import (is_prime, ord_factorial, ord_int, prime_divisors,
-                            prime_power_exponent)
+import pytest
+
+from giwa.errors import ValidationError
+from giwa.numtheory import (factor_integer, is_prime, ord_factorial, ord_int,
+                            prime_divisors, prime_power_exponent)
 
 
 def test_is_prime():
@@ -19,6 +22,18 @@ def test_prime_powers_and_divisors():
     assert prime_power_exponent(1, 3) == 0
     assert prime_power_exponent(81, 3) == 4
     assert prime_power_exponent(54, 3) is None
+    assert prime_power_exponent(0, 3) is None
+    for ell in (1, 0, -3):                  # no ell-adic valuation to walk
+        with pytest.raises(ValidationError):
+            prime_power_exponent(9, ell)
     assert prime_divisors(1) == []
     assert prime_divisors(360) == [2, 3, 5]
     assert prime_divisors(97) == [97]
+    for m in range(1, 400):
+        assert prime_divisors(m) == [p for p in range(2, m + 1)
+                                     if m % p == 0 and is_prime(p)]
+    big = 999_983 * 999_979                 # two primes just below 10^6
+    assert factor_integer(big) == [(999_979, 1), (999_983, 1)]
+    assert prime_divisors(big) == [999_979, 999_983]
+    assert factor_integer(-12) == [(-1, 1), (2, 2), (3, 1)]
+    assert factor_integer(0) == [(0, 1)]

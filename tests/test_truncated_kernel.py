@@ -212,6 +212,14 @@ def test_kernel_on_explicit_matrices():
     assert truncated_determinant([], mod, cap) == [1, 0, 0, 0]
 
 
+def test_kernel_slots_hold_a_full_row_of_products():
+    # every entry is modulus - 1, so a Berkowitz sum of n products reaches
+    # n (modulus - 1)^2: the slot width must count the n, or a carry crosses
+    # into the next slot; the matrix has rank 1, so its determinant is 0
+    matrix = [[[150] for _ in range(4)] for _ in range(4)]
+    assert truncated_determinant(matrix, 151, 0) == [0]
+
+
 def test_mixed_int_and_truncated_voltages():
     mixed = tower(bouquet(2), 3, {"s1": 1, "s2": PadicTruncated(3, 20, 4)})
     exact = tower(bouquet(2), 3, {"s1": 1, "s2": 4})

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from giwa import (DisconnectedError, ValidationError, bouquet,
                   build_multigraph, components, cover_degree, cyclic,
@@ -10,6 +11,7 @@ from giwa import (DisconnectedError, ValidationError, bouquet,
                   quotient_cover, reduction_hom, spanning_tree_count,
                   verify_combined_iso, voltage_assignment,
                   voltage_connectedness)
+from giwa.graphs import Orientation
 from giwa.groups import DIHEDRAL_REFLECTION, DIHEDRAL_ROTATION
 from giwa.voltage import CoverMap, component_degrees
 
@@ -382,3 +384,111 @@ def test_deck_group_is_isomorphic_to_voltage_group():
                 composed = {w: by_tau[tau1][by_tau[tau2][w]]
                             for w in range(dg.graph.vertex_count)}
                 assert composed == by_tau[G.multiply(tau1, tau2)]
+
+
+# -- cover maps built from labels, against index arithmetic -----------------
+
+LABEL_SETTINGS = settings(max_examples=60, deadline=None,
+                          suppress_health_check=[HealthCheck.too_slow,
+                                                 HealthCheck.filter_too_much])
+
+
+def _groups_with_quotient():
+    """(G, a surjective morphism out of G): cyclic groups and direct products."""
+    c2, c3, c4, c6 = cyclic(2), cyclic(3), cyclic(4), cyclic(6)
+    c2c2, c2c3, c3c3 = product(c2, c2), product(c2, c3), product(c3, c3)
+    return [(c4, reduction_hom(4, 2)), (c6, reduction_hom(6, 3)),
+            (c3, hom(c3, c3, lambda a: a)),
+            (c2c2, hom(c2c2, c2, lambda p: (p[0] + p[1]) % 2)),
+            (c2c3, hom(c2c3, c3, lambda p: p[1])),
+            (c3c3, hom(c3c3, c3, lambda p: p[0]))]
+
+
+GROUPS_WITH_QUOTIENT = _groups_with_quotient()
+VOLTAGE_GROUPS = [group for group, _f in GROUPS_WITH_QUOTIENT]
+
+
+@st.composite
+def small_bases(draw):
+    """1-3 vertices, 1-4 edges (loops and parallel edges allowed), and an
+    orientation that takes some edges against their declared direction."""
+    verts = [f"v{i}" for i in range(draw(st.integers(1, 3)))]
+    ends = draw(st.lists(st.tuples(st.sampled_from(verts), st.sampled_from(verts)),
+                         min_size=1, max_size=4))
+    graph = build_multigraph(verts, [(u, v, f"e{k}") for k, (u, v) in enumerate(ends)])
+    flips = draw(st.lists(st.integers(0, 1), min_size=len(ends), max_size=len(ends)))
+    return graph, Orientation(tuple(2 * k + flip for k, flip in enumerate(flips)))
+
+
+def draw_assignment(draw, base, group):
+    graph, orientation = base
+    values = {eid: draw(st.sampled_from(group.elements)) for eid in graph.edge_ids}
+    return voltage_assignment(graph, group, values, orientation)
+
+
+def index_arithmetic_quotient_maps(va, f, top, bottom):
+    """The vertex and edge maps of X(G) -> X(G1) read off derived_graph's edge
+    order: derived undirected edge k comes from (S[k // |G|], elements[k % |G|])."""
+    tgt_vindex = {v: i for i, v in enumerate(bottom.graph.vertices)}
+    vmap = [tgt_vindex[(v, f(sigma))] for (v, sigma) in top.graph.vertices]
+    n_g = va.group.order
+    elems = va.group.elements
+    tgt_order = {e: i for i, e in enumerate(f.target.elements)}
+    emap = []
+    for k in range(top.graph.undirected_edge_count):
+        s_pos, sigma_pos = divmod(k, n_g)
+        sigma_img = f(elems[sigma_pos])
+        k_tgt = s_pos * f.target.order + tgt_order[sigma_img]
+        emap.extend((2 * k_tgt, 2 * k_tgt + 1))
+    return tuple(vmap), tuple(emap)
+
+
+@LABEL_SETTINGS
+@given(st.data())
+def test_quotient_cover_matches_index_arithmetic(data):
+    base = data.draw(small_bases())
+    group, f = data.draw(st.sampled_from(GROUPS_WITH_QUOTIENT))
+    va = draw_assignment(data.draw, base, group)
+    cov, top, bottom = quotient_cover(va, f)
+    assert (cov.vertex_map, cov.edge_map) == \
+        index_arithmetic_quotient_maps(va, f, top, bottom)
+    assert is_cover(cov)
+
+
+@LABEL_SETTINGS
+@given(st.data())
+def test_pullback_square_commutes(data):
+    base = data.draw(small_bases())
+    p1, p2 = (derived_graph(draw_assignment(
+        data.draw, base, data.draw(st.sampled_from(VOLTAGE_GROUPS)))).projection
+        for _ in range(2))
+    assert is_cover(p1) and is_cover(p2)
+    pb = pullback(p1, p2)
+    a, b = pb.to_first, pb.to_second
+    assert all(p1.vertex_map[a.vertex_map[w]] == p2.vertex_map[b.vertex_map[w]]
+               for w in range(pb.graph.vertex_count))
+    assert all(p1.edge_map[a.edge_map[d]] == p2.edge_map[b.edge_map[d]]
+               for d in range(pb.graph.directed_edge_count))
+    assert is_cover(a) and is_cover(b)
+    # edge k runs along the k-th matching pair (d1, d2) of a full scan that
+    # skips the reverse of every pair already taken
+    want, taken = [], set()
+    for d1 in range(p1.source.directed_edge_count):
+        for d2 in range(p2.source.directed_edge_count):
+            if p1.edge_map[d1] == p2.edge_map[d2] and (d1, d2) not in taken:
+                taken.add((d1 ^ 1, d2 ^ 1))
+                want.append((d1, d2))
+    assert [(a.edge_map[2 * k], b.edge_map[2 * k])
+            for k in range(pb.graph.undirected_edge_count)] == want
+
+
+@LABEL_SETTINGS
+@given(st.data())
+def test_combined_iso_holds_on_connected_covers(data):
+    base = data.draw(small_bases())
+    assume(is_connected(base[0]))
+    beta_group, f = data.draw(st.sampled_from(GROUPS_WITH_QUOTIENT))
+    va_beta = draw_assignment(data.draw, base, beta_group)
+    va_alpha = draw_assignment(data.draw, base, f.target)
+    assume(voltage_connectedness(va_beta)[0] and voltage_connectedness(va_alpha)[0])
+    assert verify_combined_iso(va_beta, va_alpha)
