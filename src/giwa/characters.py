@@ -78,15 +78,13 @@ def group_exponent(group: FiniteGroup) -> int:
     return lcm(1, *_factor_orders(group))
 
 
-def all_characters(group: FiniteGroup, conductor: int | None = None) -> list:
-    """Every character of the group, all valued in one ring Z[zeta_conductor]."""
-    orders = _factor_orders(group)
-    R = conductor if conductor is not None else group_exponent(group)
+def all_characters(group: FiniteGroup) -> list:
+    """Every character of the group, all valued in Z[zeta_R], R the group exponent."""
+    R = group_exponent(group)
     return [Character(group=group, exponents=exps, conductor=R)
-            for exps in iproduct(*(range(m) for m in orders))]
+            for exps in iproduct(*(range(m) for m in _factor_orders(group)))]
 
 
-def trivial_character(group: FiniteGroup, conductor: int | None = None) -> Character:
-    orders = _factor_orders(group)
-    R = conductor if conductor is not None else group_exponent(group)
-    return Character(group=group, exponents=(0,) * len(orders), conductor=R)
+def trivial_character(group: FiniteGroup) -> Character:
+    return Character(group=group, exponents=(0,) * len(_factor_orders(group)),
+                     conductor=group_exponent(group))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import DisconnectedError, ValidationError
 
@@ -26,6 +26,7 @@ class Multigraph:
     origin: tuple                   # origin[d] = vertex index, d a directed edge index
     terminus: tuple
     _vertex_index: dict = field(repr=False)
+    _edge_index: dict = field(repr=False)   # edge id -> undirected edge number
     _out_edges: tuple = field(repr=False)   # out_edges[i] = directed edges with origin i
 
     # -- basic accessors -------------------------------------------------
@@ -48,6 +49,13 @@ class Multigraph:
         except KeyError:
             raise ValidationError(f"unknown vertex {v!r}") from None
 
+    def edge_index(self, eid: EdgeId) -> int:
+        """Undirected edge number k of an edge id; its directed edges are 2k and 2k+1."""
+        try:
+            return self._edge_index[eid]
+        except (KeyError, TypeError):
+            raise ValidationError(f"unknown edge {eid!r}") from None
+
     def inv(self, d: int) -> int:
         """The involution e -> e-bar on directed edge indices."""
         return d ^ 1
@@ -58,9 +66,6 @@ class Multigraph:
 
     def valency(self, i: int) -> int:
         return len(self._out_edges[i])
-
-    def endpoints(self, d: int) -> tuple:
-        return self.origin[d], self.terminus[d]
 
     def edge_label(self, d: int) -> str:
         """Readable name for a directed edge: 'id' or '~id' for the reverse."""
@@ -87,6 +92,21 @@ class Orientation:
 
     def __len__(self):
         return len(self.edges)
+
+    def check(self, graph: Multigraph, values: Mapping | None = None) -> None:
+        """Refuse unless this picks exactly one direction of every edge of graph
+        and, when values are given, they are keyed by exactly those directions."""
+        if sorted(d >> 1 for d in self.edges) != list(range(graph.undirected_edge_count)):
+            raise ValidationError("orientation must pick one direction of every edge, once")
+        if values is not None and values.keys() != set(self.edges):
+            missing = [graph.edge_label(d) for d in self.edges if d not in values]
+            raise ValidationError(f"no value on orientation edges {missing}" if missing
+                                  else "a value is keyed by an edge outside the orientation")
+
+    def by_index(self, graph: Multigraph, values_by_edge_id: Mapping) -> dict:
+        """Values given by edge id, rekeyed by the direction of each edge picked here."""
+        by_edge = {graph.edge_index(eid): v for eid, v in values_by_edge_id.items()}
+        return {d: by_edge[d >> 1] for d in self.edges if d >> 1 in by_edge}
 
 
 @dataclass(frozen=True)
@@ -115,8 +135,7 @@ def build_multigraph(vertices: Sequence[VertexId], edges: Sequence) -> Multigrap
         if v in vindex:
             raise ValidationError(f"duplicate vertex {v!r}")
         vindex[v] = i
-    ids = []
-    seen_ids = set()
+    eindex = {}
     origin = []
     terminus = []
     for pos, spec in enumerate(edges):
@@ -128,14 +147,13 @@ def build_multigraph(vertices: Sequence[VertexId], edges: Sequence) -> Multigrap
             u, v, eid = spec
         else:
             raise ValidationError(f"edge #{pos + 1}: expected (u, v) or (u, v, id)")
-        if eid in seen_ids:
+        if eid in eindex:
             raise ValidationError(f"duplicate edge id {eid!r}")
-        seen_ids.add(eid)
+        eindex[eid] = pos
         for w in (u, v):
             if w not in vindex:
                 raise ValidationError(
                     f"edge {eid!r} references undeclared vertex {w!r}")
-        ids.append(eid)
         origin.extend((vindex[u], vindex[v]))
         terminus.extend((vindex[v], vindex[u]))
     out = [[] for _ in verts]
@@ -143,10 +161,11 @@ def build_multigraph(vertices: Sequence[VertexId], edges: Sequence) -> Multigrap
         out[o].append(d)
     return Multigraph(
         vertices=verts,
-        edge_ids=tuple(ids),
+        edge_ids=tuple(eindex),
         origin=tuple(origin),
         terminus=tuple(terminus),
         _vertex_index=vindex,
+        _edge_index=eindex,
         _out_edges=tuple(tuple(x) for x in out),
     )
 
@@ -463,11 +482,7 @@ def pi1_basis(graph: Multigraph, v0: VertexId, orientation: Orientation | None =
 
     tree = None
     if tree_edge_ids is not None:
-        wanted = set(tree_edge_ids)
-        tree = {k for k, eid in enumerate(graph.edge_ids) if eid in wanted}
-        missing = wanted - {graph.edge_ids[k] for k in tree}
-        if missing:
-            raise ValidationError(f"unknown tree edge ids {sorted(map(str, missing))}")
+        tree = {graph.edge_index(eid) for eid in tree_edge_ids}
         if len(tree) != graph.vertex_count - 1:
             raise ValidationError("spanning tree must have |V| - 1 edges")
     parent_edge = _bfs_parent_edges(graph, base, tree)

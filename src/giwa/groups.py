@@ -15,6 +15,7 @@ from .errors import ResourceLimitError, UnsupportedError, ValidationError
 from .numtheory import is_prime
 
 DEFAULT_ENUMERATION_CAP = 200_000
+_CHECK_PAIRS = 4096
 
 
 @dataclass(frozen=True)
@@ -299,17 +300,16 @@ class GroupHom:
         return frozenset(a for a in self.source.elements if self._map(a) == t1)
 
 
-def hom(source: FiniteGroup, target: FiniteGroup, func: Callable,
-        check_pairs: int = 4096) -> GroupHom:
+def hom(source: FiniteGroup, target: FiniteGroup, func: Callable) -> GroupHom:
     """Wrap a function as a morphism, verifying multiplicativity.
 
-    All pairs are checked when |source|^2 is small, otherwise a deterministic
-    sample; f(1) = 1 is always checked.
+    All pairs are checked when |source|^2 <= _CHECK_PAIRS, otherwise a
+    deterministic sample; f(1) = 1 is always checked.
     """
     if func(source.identity) != target.identity:
         raise ValidationError("map does not send identity to identity")
     n = source.order
-    if n * n <= check_pairs:
+    if n * n <= _CHECK_PAIRS:
         pairs = [(a, b) for a in source.elements for b in source.elements]
     else:
         step = max(1, n // 64)

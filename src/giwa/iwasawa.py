@@ -85,14 +85,8 @@ class Tower:
                 "tower base must have nonzero Euler characteristic")
         if not is_connected(self.graph):
             raise DisconnectedError("tower base must be connected")
-        chosen = set(self.orientation.edges)
-        if {d >> 1 for d in chosen} != set(range(self.graph.undirected_edge_count)):
-            raise ValidationError("orientation must cover every undirected edge")
-        for d in chosen:
-            if d not in self.values:
-                raise ValidationError(
-                    f"missing voltage on {self.graph.edge_label(d)}")
-            v = self.values[d]
+        self.orientation.check(self.graph, self.values)
+        for v in self.values.values():
             if not isinstance(v, (int, PadicTruncated)):
                 raise UnsupportedError(f"unsupported exponent type {type(v).__name__}")
             if isinstance(v, PadicTruncated) and v.ell != self.ell:
@@ -119,13 +113,8 @@ def tower(graph: Multigraph, ell: int, values_by_edge_id: Mapping,
     """Build a tower from voltages keyed by undirected edge ids."""
     if orientation is None:
         orientation = graph.default_orientation()
-    id_to_edge = {graph.edge_ids[d >> 1]: d for d in orientation}
-    values = {}
-    for eid, v in values_by_edge_id.items():
-        if eid not in id_to_edge:
-            raise ValidationError(f"voltage names unknown edge {eid!r}")
-        values[id_to_edge[eid]] = v
-    return Tower(graph=graph, orientation=orientation, ell=ell, values=values)
+    return Tower(graph=graph, orientation=orientation, ell=ell,
+                 values=orientation.by_index(graph, values_by_edge_id))
 
 
 def level_group(t: Tower, n: int) -> FiniteGroup:
@@ -664,8 +653,7 @@ def certify_pullback_connected(t: Tower, va_beta: VoltageAssignment) -> tuple:
 def _certified_pullback(t: Tower, beta_by_edge_id: Mapping, group: FiniteGroup) -> tuple:
     """(beta's assignment, lifted tower), or DisconnectedError unless the cover
     X(G, S, beta) and every level of the pullback tower are connected."""
-    va_beta = voltage_assignment(t.graph, group, dict(beta_by_edge_id),
-                                 t.orientation)
+    va_beta = voltage_assignment(t.graph, group, beta_by_edge_id, t.orientation)
     connected, _ = voltage_connectedness(va_beta)
     if not connected:
         raise DisconnectedError("the covering graph X(G, S, beta) is disconnected")
@@ -727,8 +715,8 @@ def twisted_characteristic_series(t: Tower, va_beta: VoltageAssignment,
                                   ) -> TruncatedPowerSeries:
     """f_psi = det(D - A_(psi,rho)) with entries psi(beta(s)) (1+T)^(alpha(s)) + ...
 
-    The trivial character returns the plain characteristic series; the
-    coefficients otherwise live in the cyclotomic ring of the character.
+    Coefficients are CyclotomicElements of psi's ring, also for the trivial
+    character, where they equal the plain series' (see cyclotomic.as_integer).
     """
     if va_beta.group.cyclic_factor_orders is None:
         raise UnsupportedError("twisted series need a declared abelian group")

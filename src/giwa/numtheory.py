@@ -1,20 +1,37 @@
-"""Small integer number theory shared by the kernels: primality, valuations,
-prime powers, factorizations and prime divisors, all by trial division on
-machine-size inputs."""
+"""Small integer number theory shared by the kernels: deterministic
+Miller-Rabin primality, and valuations, prime powers, factorizations and
+prime divisors by trial division on machine-size inputs."""
 
 from __future__ import annotations
 
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
+
+# The first 13 primes are Miller-Rabin witnesses for every odd composite
+# below _PROVEN_BELOW (Sorenson and Webster, Math. Comp. 86 (2017)).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
+_TRIAL_LIMIT = 1_000_000
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
+    """Exact primality below _PROVEN_BELOW (about 3.3e24); a larger n with no
+    factor among the witnesses is refused with ResourceLimitError."""
+    if n < 2 or any(n % p == 0 for p in _WITNESSES):
+        return n in _WITNESSES
+    if n >= _PROVEN_BELOW:
+        raise ResourceLimitError(f"primality of {n} is not proven above {_PROVEN_BELOW - 1}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1      # n - 1 = 2^s d, d odd
+    d = (n - 1) >> s
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        p += 1 if p == 2 else 2
     return True
 
 
@@ -47,10 +64,10 @@ def prime_power_exponent(m: int, ell: int) -> int | None:
     return k if k is not None and m == ell ** k else None
 
 
-def factor_integer(n: int, trial_limit: int = 1_000_000) -> list:
+def factor_integer(n: int) -> list:
     """Trial-division factorization [(prime, exponent)]; large cofactors kept whole.
 
-    The last cofactor is prime when it is below trial_limit^2."""
+    The last cofactor is prime when it is below _TRIAL_LIMIT^2."""
     if n == 0:
         return [(0, 1)]
     out = []
@@ -58,7 +75,7 @@ def factor_integer(n: int, trial_limit: int = 1_000_000) -> list:
         out.append((-1, 1))
         n = -n
     p = 2
-    while p * p <= n and p <= trial_limit:
+    while p * p <= n and p <= _TRIAL_LIMIT:
         if n % p == 0:
             e = 0
             while n % p == 0:

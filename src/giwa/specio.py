@@ -35,6 +35,12 @@ def _check_keys(obj: dict, allowed: set, where: str) -> None:
         raise ValidationError(f"{where}: unknown fields {sorted(unknown)}")
 
 
+def _integer(value, what: str) -> int:
+    if type(value) is not int:          # refuses floats, and JSON booleans too
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def load_json(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -51,6 +57,9 @@ def graph_from_spec(spec: dict) -> Multigraph:
     _check_keys(spec, {"vertices", "edges"}, "graph spec")
     if "vertices" not in spec or "edges" not in spec:
         raise ValidationError("graph spec needs 'vertices' and 'edges'")
+    for name in [*spec["vertices"], *(x for e in spec["edges"] for x in e)]:
+        if type(name) not in (str, int):
+            raise ValidationError(f"a vertex or edge name must be a string or integer: {name!r}")
     return build_multigraph(spec["vertices"], spec["edges"])
 
 
@@ -60,7 +69,7 @@ def group_from_spec(spec: dict) -> FiniteGroup:
     kind = spec["type"]
     if kind == "cyclic":
         _check_keys(spec, {"type", "order"}, "cyclic group spec")
-        return cyclic(int(spec["order"]))
+        return cyclic(_integer(spec.get("order"), "cyclic group order"))
     if kind == "product":
         _check_keys(spec, {"type", "factors"}, "product group spec")
         factors = [group_from_spec(f) for f in spec["factors"]]
@@ -75,7 +84,8 @@ def group_from_spec(spec: dict) -> FiniteGroup:
         return dihedral_8()
     if kind == "sl2":
         _check_keys(spec, {"type", "ell", "level"}, "sl2 group spec")
-        return sl2_level_quotient(int(spec["ell"]), int(spec["level"])).group
+        return sl2_level_quotient(_integer(spec.get("ell"), "sl2 ell"),
+                                  _integer(spec.get("level"), "sl2 level")).group
     raise ValidationError(f"unknown group type {kind!r}")
 
 
@@ -158,21 +168,13 @@ def _parse_dihedral_word(text: str):
 def orientation_from_spec(graph: Multigraph, entries: list | None) -> Orientation:
     if entries is None:
         return graph.default_orientation()
-    id_to_k = {eid: k for k, eid in enumerate(graph.edge_ids)}
     chosen = []
-    seen = set()
     for entry in entries:
         flip = isinstance(entry, str) and entry.startswith("~")
-        eid = entry[1:] if flip else entry
-        if eid not in id_to_k:
-            raise ValidationError(f"orientation names unknown edge {eid!r}")
-        if eid in seen:
-            raise ValidationError(f"orientation repeats edge {eid!r}")
-        seen.add(eid)
-        chosen.append(2 * id_to_k[eid] + (1 if flip else 0))
-    if len(seen) != graph.undirected_edge_count:
-        raise ValidationError("orientation must list every edge exactly once")
-    return Orientation(tuple(chosen))
+        chosen.append(2 * graph.edge_index(entry[1:] if flip else entry) + flip)
+    orientation = Orientation(tuple(chosen))
+    orientation.check(graph)
+    return orientation
 
 
 def voltage_from_spec(spec: dict) -> VoltageAssignment:
@@ -196,12 +198,9 @@ def tower_from_spec(spec: dict) -> tuple:
             raise ValidationError(f"tower spec needs '{key}'")
     graph = graph_from_spec(spec["graph"])
     orientation = orientation_from_spec(graph, spec.get("orientation"))
-    ell = int(spec["ell"])
-    alpha = {}
-    for eid, v in spec["alpha"].items():
-        if not isinstance(v, int):
-            raise ValidationError(f"tower voltage on {eid!r} must be an integer")
-        alpha[eid] = v
+    ell = _integer(spec["ell"], "'ell'")
+    alpha = {eid: _integer(v, f"tower voltage on {eid!r}")
+             for eid, v in spec["alpha"].items()}
     t = tower(graph, ell, alpha, orientation)
     va_beta = None
     if ("beta" in spec) != ("beta_group" in spec):
@@ -212,4 +211,4 @@ def tower_from_spec(spec: dict) -> tuple:
                   for eid, text in spec["beta"].items()}
         va_beta = voltage_assignment(graph, group, values, orientation)
     levels = spec.get("levels")
-    return t, va_beta, None if levels is None else int(levels)
+    return t, va_beta, None if levels is None else _integer(levels, "'levels'")

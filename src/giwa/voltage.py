@@ -27,15 +27,8 @@ class VoltageAssignment:
     values: dict = field(repr=False)      # orientation edge index -> group element
 
     def __post_init__(self):
-        chosen = set(self.orientation.edges)
-        if len(chosen) != self.graph.undirected_edge_count:
-            raise ValidationError("orientation must pick one direction per edge")
-        if {d >> 1 for d in chosen} != set(range(self.graph.undirected_edge_count)):
-            raise ValidationError("orientation misses some undirected edge")
-        for d in chosen:
-            if d not in self.values:
-                raise ValidationError(
-                    f"no voltage for orientation edge {self.graph.edge_label(d)}")
+        self.orientation.check(self.graph, self.values)
+        for d in self.orientation:
             if not self.group.contains(self.values[d]):
                 raise ValidationError(
                     f"voltage on {self.graph.edge_label(d)} is not a group element")
@@ -59,17 +52,8 @@ def voltage_assignment(graph: Multigraph, group: FiniteGroup,
     """Build a voltage assignment keyed by undirected edge ids."""
     if orientation is None:
         orientation = graph.default_orientation()
-    by_index = {}
-    id_to_oriented = {graph.edge_ids[d >> 1]: d for d in orientation}
-    for eid, value in values_by_edge_id.items():
-        if eid not in id_to_oriented:
-            raise ValidationError(f"voltage names unknown edge {eid!r}")
-        by_index[id_to_oriented[eid]] = value
-    missing = set(id_to_oriented) - set(values_by_edge_id)
-    if missing:
-        raise ValidationError(f"missing voltages for edges {sorted(map(str, missing))}")
-    return VoltageAssignment(graph=graph, orientation=orientation,
-                             group=group, values=by_index)
+    return VoltageAssignment(graph=graph, orientation=orientation, group=group,
+                             values=orientation.by_index(graph, values_by_edge_id))
 
 
 @dataclass(frozen=True)
@@ -152,7 +136,7 @@ def derived_graph(va: VoltageAssignment) -> DerivedGraph:
     return DerivedGraph(graph=graph, projection=proj, assignment=va)
 
 
-def voltage_connectedness(va: VoltageAssignment, base_vertex=None) -> tuple:
+def voltage_connectedness(va: VoltageAssignment) -> tuple:
     """Connectedness of the derived graph via the fundamental group.
 
     Returns (connected, generated_subgroup): the derived graph is connected
@@ -160,8 +144,7 @@ def voltage_connectedness(va: VoltageAssignment, base_vertex=None) -> tuple:
     """
     if not is_connected(va.graph):
         raise DisconnectedError("voltage connectedness needs a connected base")
-    v0 = base_vertex if base_vertex is not None else va.graph.vertices[0]
-    basis = pi1_basis(va.graph, v0, va.orientation)
+    basis = pi1_basis(va.graph, va.graph.vertices[0], va.orientation)
     images = [va.path_voltage(path) for _s, path in basis.loops]
     generated = subgroup_generated(va.group, images)
     return len(generated) == va.group.order, generated
@@ -306,9 +289,9 @@ def quotient_cover(va: VoltageAssignment, f: GroupHom) -> tuple:
                              group=f.target,
                              values={d: f(v) for d, v in va.values.items()})
     bottom = derived_graph(push)
-    declared = {eid: 2 * k for k, eid in enumerate(bottom.graph.edge_ids)}
     return (_label_cover(top.graph, bottom.graph, lambda v: (v[0], f(v[1])),
-                         lambda e: declared[(e[0], f(e[1]))]), top, bottom)
+                         lambda e: 2 * bottom.graph.edge_index((e[0], f(e[1])))),
+            top, bottom)
 
 
 @dataclass(frozen=True)
@@ -417,11 +400,10 @@ def verify_combined_iso(va_beta: VoltageAssignment, va_alpha: VoltageAssignment)
     def relabel(x):
         return ((x[0], x[1][0]), x[1][1])
 
-    declared = {eid: 2 * k for k, eid in enumerate(big.graph.edge_ids)}
     try:
         iso = _label_cover(combined.graph, big.graph, relabel,
-                           lambda e: declared[relabel(e)])
-    except (KeyError, ValidationError):
+                           lambda e: 2 * big.graph.edge_index(relabel(e)))
+    except ValidationError:
         return False
     if len(set(iso.vertex_map)) != big.graph.vertex_count or \
             len(set(iso.edge_map)) != big.graph.directed_edge_count:

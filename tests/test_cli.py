@@ -180,6 +180,32 @@ class TestInvariantsCommand:
         assert "level must be >= 0" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("ell", 3.9, "'ell' must be an integer, got 3.9"),
+        ("alpha", {"s1": True, "s2": 4, "s3": 20},
+         "tower voltage on 's1' must be an integer, got True"),
+        ("levels", "x", "'levels' must be an integer, got 'x'"),
+        ("graph", {"vertices": ["v"], "edges": [["v", "v", ["s1"]]]},
+         "a vertex or edge name must be a string or integer: ['s1']"),
+        ("graph", {"vertices": [["v"]], "edges": []},
+         "a vertex or edge name must be a string or integer: ['v']"),
+        ("beta_group", {"type": "cyclic", "order": 9.0},
+         "cyclic group order must be an integer, got 9.0"),
+        ("beta_group", {"type": "sl2", "ell": 3, "level": True},
+         "sl2 level must be an integer, got True"),
+    ])
+    def test_spec_field_of_the_wrong_json_type_exits_2(self, tmp_path, capsys,
+                                                         field, value, message):
+        spec = load_json(spec_path("ex1_tower.json"))
+        spec[field] = value
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(spec))
+        assert main(["invariants", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 class TestKidaCommand:
     def test_ex1(self, capsys):
         code = main(["kida", spec_path("ex1_tower.json")])

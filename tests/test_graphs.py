@@ -51,6 +51,13 @@ class TestBuild:
         with pytest.raises(ValidationError, match="duplicate edge id"):
             build_multigraph(["v"], [("v", "v", "e"), ("v", "v", "e")])
 
+    def test_edge_index(self):
+        g = build_multigraph(["a", "b"], [("a", "b", "x"), ("a", "a", 7)])
+        assert [g.edge_index(eid) for eid in g.edge_ids] == [0, 1]
+        for eid in ("y", ["x"]):
+            with pytest.raises(ValidationError, match="unknown edge"):
+                g.edge_index(eid)
+
     def test_involution_axioms(self):
         g = two_vertex_four_edge_graph()
         for d in range(g.directed_edge_count):

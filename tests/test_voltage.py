@@ -3,17 +3,17 @@ import random
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from giwa import (DisconnectedError, ValidationError, bouquet,
-                  build_multigraph, components, cover_degree, cyclic,
-                  deck_transformations, derived_graph, dihedral_8,
-                  euler_characteristic, hom, identity_cover, is_connected,
-                  is_cover, is_galois, product, pullback, pullback_voltage,
-                  quotient_cover, reduction_hom, spanning_tree_count,
-                  verify_combined_iso, voltage_assignment,
-                  voltage_connectedness)
+from giwa import (DisconnectedError, Tower, ValidationError, bouquet,
+                  build_multigraph, characteristic_series, components,
+                  cover_degree, cyclic, deck_transformations, derived_graph,
+                  dihedral_8, euler_characteristic, hom, identity_cover,
+                  is_connected, is_cover, is_galois, iwasawa_invariants, product,
+                  pullback, pullback_voltage, quotient_cover, reduction_hom,
+                  spanning_tree_count, tower, verify_combined_iso,
+                  voltage_assignment, voltage_connectedness)
 from giwa.graphs import Orientation
 from giwa.groups import DIHEDRAL_REFLECTION, DIHEDRAL_ROTATION
-from giwa.voltage import CoverMap, component_degrees
+from giwa.voltage import CoverMap, VoltageAssignment, component_degrees
 
 from test_graphs import two_vertex_four_edge_graph
 
@@ -492,3 +492,118 @@ def test_combined_iso_holds_on_connected_covers(data):
     va_alpha = draw_assignment(data.draw, base, f.target)
     assume(voltage_connectedness(va_beta)[0] and voltage_connectedness(va_alpha)[0])
     assert verify_combined_iso(va_beta, va_alpha)
+
+
+# -- one orientation check for towers and voltage assignments ---------------
+
+ORIENTATION_SETTINGS = settings(max_examples=150, deadline=None,
+                                suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def tower_bases(draw):
+    """Bouquets of 2-3 loops, and connected 2-3-vertex multigraphs with loops
+    and parallel edges, all of nonzero Euler characteristic."""
+    if draw(st.booleans()):
+        return bouquet(draw(st.integers(2, 3)))
+    verts = [f"v{i}" for i in range(draw(st.integers(2, 3)))]
+    path = list(zip(verts, verts[1:]))
+    extra = draw(st.lists(st.tuples(st.sampled_from(verts), st.sampled_from(verts)),
+                          min_size=1, max_size=3))
+    graph = build_multigraph(verts, [(u, v, f"e{k}") for k, (u, v) in enumerate(path + extra)])
+    assume(euler_characteristic(graph) != 0)
+    return graph
+
+
+@st.composite
+def edge_tuples(draw, graph):
+    """Tuples of directed edge indices: orientations, and tuples with repeats,
+    both directions of one edge, or edges left out."""
+    n = graph.undirected_edge_count
+    if draw(st.booleans()):
+        flips = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        return tuple(draw(st.permutations([2 * k + f for k, f in enumerate(flips)])))
+    return tuple(draw(st.lists(st.integers(0, 2 * n - 1), max_size=n + 2)))
+
+
+def picks_every_edge_once(graph, edges):
+    return sorted(d >> 1 for d in edges) == list(range(graph.undirected_edge_count))
+
+
+def constructions(graph, edges, voltages):
+    """The four ways to build a tower or a voltage assignment on one tuple."""
+    orientation = Orientation(edges)
+    by_index = {d: voltages[d >> 1] for d in edges}
+    by_id = {graph.edge_ids[k]: v for k, v in enumerate(voltages)}
+    G = cyclic(3)
+    return [
+        lambda: Tower(graph=graph, orientation=orientation, ell=3, values=by_index),
+        lambda: tower(graph, 3, by_id, orientation),
+        lambda: VoltageAssignment(graph=graph, orientation=orientation, group=G,
+                                  values={d: v % 3 for d, v in by_index.items()}),
+        lambda: voltage_assignment(graph, G, {e: v % 3 for e, v in by_id.items()},
+                                   orientation),
+    ]
+
+
+@ORIENTATION_SETTINGS
+@given(st.data())
+def test_exactly_the_orientations_are_accepted(data):
+    graph = data.draw(tower_bases())
+    edges = data.draw(edge_tuples(graph))
+    voltages = data.draw(st.lists(st.integers(-9, 9), min_size=graph.undirected_edge_count,
+                                  max_size=graph.undirected_edge_count))
+    for build in constructions(graph, edges, voltages):
+        if picks_every_edge_once(graph, edges):
+            build()
+        else:
+            with pytest.raises(ValidationError):
+                build()
+
+
+@ORIENTATION_SETTINGS
+@given(st.data())
+def test_reversing_an_edge_and_negating_its_voltage_keeps_the_series(data):
+    graph = data.draw(tower_bases())
+    n = graph.undirected_edge_count
+    flips = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    edges = tuple(2 * k + f for k, f in enumerate(flips))
+    values = {d: data.draw(st.integers(-9, 9)) for d in edges}
+    i = data.draw(st.integers(0, n - 1))
+    d = edges[i]
+    reversed_values = {**values, d ^ 1: -values[d]}
+    del reversed_values[d]
+    t = Tower(graph=graph, orientation=Orientation(edges), ell=3, values=values)
+    u = Tower(graph=graph, orientation=Orientation(edges[:i] + (d ^ 1,) + edges[i + 1:]),
+              ell=3, values=reversed_values)
+    assert characteristic_series(t, cap=6) == characteristic_series(u, cap=6)
+
+
+class TestOrientationDefects:
+    def test_tower_counting_an_edge_twice_is_refused(self):
+        # accepted once, and answered lambda = 3 where the tower has lambda = 1
+        assert iwasawa_invariants(tower(bouquet(2), 3, {"s1": 1, "s2": 4})).lam == 1
+        with pytest.raises(ValidationError):
+            tower(bouquet(2), 3, {"s1": 1, "s2": 4}, Orientation((0, 0, 2)))
+
+    def test_tower_with_both_directions_of_an_edge_is_refused(self):
+        with pytest.raises(ValidationError):
+            Tower(graph=bouquet(2), orientation=Orientation((0, 1, 2)), ell=3,
+                  values={0: 1, 1: 1, 2: 4})
+
+    def test_assignment_counting_an_edge_twice_is_refused(self):
+        with pytest.raises(ValidationError):
+            VoltageAssignment(graph=bouquet(2), orientation=Orientation((0, 0, 2)),
+                              group=cyclic(3), values={0: 1, 2: 2})
+
+    def test_value_off_the_orientation_is_refused(self):
+        # voltage(1) would read the stray value instead of the inverse of voltage(0)
+        with pytest.raises(ValidationError, match="outside the orientation"):
+            VoltageAssignment(graph=bouquet(1), orientation=Orientation((0,)),
+                              group=cyclic(3), values={0: 1, 1: 1})
+
+    def test_missing_and_unknown_voltages_are_refused(self):
+        with pytest.raises(ValidationError, match=r"no value on orientation edges \['s2'\]"):
+            tower(bouquet(2), 3, {"s1": 1})
+        with pytest.raises(ValidationError, match="unknown edge 's9'"):
+            voltage_assignment(bouquet(2), cyclic(3), {"s1": 1, "s2": 2, "s9": 0})
