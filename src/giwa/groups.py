@@ -86,10 +86,18 @@ def _flatten(x) -> tuple:
     return tuple(out)
 
 
+def _within_budget(order: int) -> None:
+    """ResourceLimitError for a group too large to list, before listing it."""
+    if order > DEFAULT_ENUMERATION_CAP:
+        raise ResourceLimitError(
+            f"group of order {order} exceeds the cap of {DEFAULT_ENUMERATION_CAP} elements")
+
+
 def cyclic(m: int) -> FiniteGroup:
     """Residues modulo m under addition."""
     if m < 1:
         raise ValidationError(f"cyclic group order must be >= 1, got {m}")
+    _within_budget(m)
     return FiniteGroup(
         name=f"Z/{m}",
         elements=tuple(range(m)),
@@ -102,6 +110,7 @@ def cyclic(m: int) -> FiniteGroup:
 
 def product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     """Direct product with componentwise operations; elements are pairs."""
+    _within_budget(g1.order * g2.order)
     factors = None
     if g1.cyclic_factor_orders is not None and g2.cyclic_factor_orders is not None:
         factors = g1.cyclic_factor_orders + g2.cyclic_factor_orders

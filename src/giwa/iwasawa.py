@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 from types import MappingProxyType
 from typing import Mapping
 
@@ -39,7 +39,8 @@ from .cyclotomic import CyclotomicElement, as_integer
 from .errors import (DisconnectedError, GiwaError, PrecisionError,
                      ResourceLimitError, UnsupportedError, ValidationError)
 from .graphs import (Multigraph, Orientation, bareiss_determinant,
-                     euler_characteristic, is_connected, spanning_tree_count)
+                     euler_characteristic, is_connected, pi1_basis,
+                     spanning_tree_count)
 from .groups import FiniteGroup, cyclic, product
 from .numtheory import factor_integer, is_prime, ord_int, prime_power_exponent
 from .series import (PadicTruncated, TruncatedPowerSeries, binomial_coefficients,
@@ -117,15 +118,10 @@ def tower(graph: Multigraph, ell: int, values_by_edge_id: Mapping,
                  values=orientation.by_index(graph, values_by_edge_id))
 
 
-def level_group(t: Tower, n: int) -> FiniteGroup:
-    return cyclic(t.ell ** n)
-
-
 def level_assignment(t: Tower, n: int) -> VoltageAssignment:
-    G = level_group(t, n)
     values = {d: t.value_mod(d, n) for d in t.orientation}
     return VoltageAssignment(graph=t.graph, orientation=t.orientation,
-                             group=G, values=values)
+                             group=cyclic(t.ell ** n), values=values)
 
 
 def tower_level(t: Tower, n: int) -> DerivedGraph:
@@ -133,29 +129,35 @@ def tower_level(t: Tower, n: int) -> DerivedGraph:
     if n < 0:
         raise ValidationError("level must be >= 0")
     va = level_assignment(t, n)
-    dg = derived_graph(va)
     if n > 0:
-        _require_level_connected(t, va, n)
-    return dg
+        _require_level_connected(t, n)
+    return derived_graph(va)
 
 
-def _require_level_connected(t: Tower, va: VoltageAssignment, n: int) -> None:
-    ok, generated = voltage_connectedness(va)
-    if not ok:
+def _level_order(t: Tower, n: int) -> int:
+    """The order ell^n / gcd(ell^n, sums) of the subgroup of Z/ell^n generated
+    by the voltage sums along the loops of a pi1 basis of the base; level n is
+    connected iff it is ell^n.  A truncated voltage enters by its integer
+    representative, which is right for n up to its precision."""
+    mod = t.ell ** n
+    signed = {s: v if isinstance(v, int) else v.value for s, v in t.values.items()}
+    signed.update({t.graph.inv(s): -a for s, a in list(signed.items())})
+    loops = pi1_basis(t.graph, t.graph.vertices[0], t.orientation).loops
+    return mod // gcd(mod, *(sum(signed[d] for d in path) for _s, path in loops))
+
+
+def _require_level_connected(t: Tower, n: int) -> None:
+    order = _level_order(t, n)
+    if order < t.ell ** n:
         raise DisconnectedError(
             f"level {n} is disconnected: voltages generate a subgroup of order "
-            f"{len(generated)} inside Z/{t.ell}^{n}")
+            f"{order} inside Z/{t.ell}^{n}")
 
 
 def certify_levels_connected(t: Tower) -> bool:
-    """All levels are connected iff level 1 is.
-
-    The image subgroup of Z/ell^n is everything exactly when it is
-    everything mod ell (Nakayama for cyclic ell-groups), so one check at
-    level 1 certifies every level of the tower.
-    """
-    ok, _ = voltage_connectedness(level_assignment(t, 1))
-    return ok
+    """All levels are connected iff level 1 is: the loop voltages generate
+    Z/ell^n, whatever n >= 1, exactly when one of them is prime to ell."""
+    return _level_order(t, 1) == t.ell
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +553,7 @@ def kappa_ord_sequence(t: Tower, n_max: int, factor: bool = False,
             t.value_mod(d, n)            # PrecisionError past the voltage precision
         if n == 1:
             # level 1 connected certifies every level (certify_levels_connected)
-            _require_level_connected(t, level_assignment(t, n), n)
+            _require_level_connected(t, n)
     kappas = [spanning_tree_count(t.graph)]
     if n_max > 0:
         ld = getattr(t, "_p", None)
@@ -647,22 +649,21 @@ def certify_pullback_connected(t: Tower, va_beta: VoltageAssignment) -> tuple:
     m = 1 certifies the whole tower.  Returns (ok, generated subgroup).
     """
     return voltage_connectedness(combined_voltage(
-        va_beta, level_assignment(t, 1), product(va_beta.group, level_group(t, 1))))
+        va_beta, level_assignment(t, 1), product(va_beta.group, cyclic(t.ell))))
 
 
-def _certified_pullback(t: Tower, beta_by_edge_id: Mapping, group: FiniteGroup) -> tuple:
-    """(beta's assignment, lifted tower), or DisconnectedError unless the cover
-    X(G, S, beta) and every level of the pullback tower are connected."""
-    va_beta = voltage_assignment(t.graph, group, beta_by_edge_id, t.orientation)
-    connected, _ = voltage_connectedness(va_beta)
-    if not connected:
-        raise DisconnectedError("the covering graph X(G, S, beta) is disconnected")
+def _certified_pullback(t: Tower, va_beta: VoltageAssignment) -> Tower:
+    """The tower lifted to X(G, S, beta), or DisconnectedError unless that cover
+    and every level of the pullback tower are connected."""
     ok, generated = certify_pullback_connected(t, va_beta)
     if not ok:
+        # the cover's own voltages generate the projection of generated onto G
+        if len({g for g, _a in generated}) < va_beta.group.order:
+            raise DisconnectedError("the covering graph X(G, S, beta) is disconnected")
         raise DisconnectedError(
             f"pullback tower disconnected: combined voltages generate "
-            f"{len(generated)} of {group.order * t.ell} elements")
-    return va_beta, lift_tower(t, derived_graph(va_beta).projection)
+            f"{len(generated)} of {va_beta.group.order * t.ell} elements")
+    return lift_tower(t, derived_graph(va_beta).projection)
 
 
 @dataclass(frozen=True)
@@ -692,18 +693,15 @@ def kida_verify(t: Tower, beta_by_edge_id: Mapping, group: FiniteGroup) -> KidaR
     if prime_power_exponent(group.order, t.ell) is None:
         raise ValidationError(
             f"|G| = {group.order} is not a power of ell = {t.ell}")
-    _, lifted = _certified_pullback(t, beta_by_edge_id, group)
+    lifted = _certified_pullback(
+        t, voltage_assignment(t.graph, group, beta_by_edge_id, t.orientation))
     base_inv = iwasawa_invariants(t)
     cover_inv = iwasawa_invariants(lifted)
-    mu_equiv = (base_inv.mu == 0) == (cover_inv.mu == 0)
-    if base_inv.mu == 0:
-        holds = cover_inv.lam + 1 == group.order * (base_inv.lam + 1)
-        return KidaReport(degree=group.order, base=base_inv, cover=cover_inv,
-                          mu_equivalence=mu_equiv, formula_checked=True,
-                          formula_holds=holds)
+    checked = True if base_inv.mu == 0 else None
+    holds = checked and cover_inv.lam + 1 == group.order * (base_inv.lam + 1)
     return KidaReport(degree=group.order, base=base_inv, cover=cover_inv,
-                      mu_equivalence=mu_equiv, formula_checked=None,
-                      formula_holds=None)
+                      mu_equivalence=(base_inv.mu == 0) == (cover_inv.mu == 0),
+                      formula_checked=checked, formula_holds=holds)
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +747,8 @@ def factorization_check(t: Tower, beta_by_edge_id: Mapping,
     lambda identity rests on.  The product is computed in Z[zeta_ell] and
     must collapse to rational integers.
     """
-    va_beta, lifted = _certified_pullback(t, beta_by_edge_id, cyclic(t.ell))
+    va_beta = voltage_assignment(t.graph, cyclic(t.ell), beta_by_edge_id, t.orientation)
+    lifted = _certified_pullback(t, va_beta)
     lhs = characteristic_series(lifted, cap)
     rhs = TruncatedPowerSeries.one(cap)
     for psi in all_characters(va_beta.group):
@@ -808,10 +807,10 @@ def uniform_tower_check(ell: int, level: int, explicit_m: int = 2,
                         base: Tower | None = None) -> UniformTowerReport:
     """Verify lambda_n = ell^(3n)(lambda+1) - 1 for the SL2 congruence tower.
 
-    Builds Y_n = X(G_n, S, alpha), certifies connectedness of every stage of
-    the combined tower (explicitly for m <= explicit_m, and for all m by the
-    Frattini argument at m = 1), and computes the invariants over Y_n via
-    the pulled-back tower.  base is passed to uniform_tower_data.
+    Builds Y_n = X(G_n, S, alpha), certifies Y_n and every stage m of the
+    combined tower (_certified_pullback, by the Frattini argument at m = 1;
+    the stages 2..explicit_m also explicitly), and computes the invariants
+    over Y_n via the pulled-back tower.  base is passed to uniform_tower_data.
     """
     X, va, t = uniform_tower_data(ell, level, base)
     G = va.group
@@ -819,36 +818,23 @@ def uniform_tower_check(ell: int, level: int, explicit_m: int = 2,
         raise ResourceLimitError(
             f"Y_{level} would have {G.order} vertices, over the cap {vertex_cap}")
     base_inv = iwasawa_invariants(t)
-
-    connected, generated = voltage_connectedness(va)
-    if not connected:
-        raise DisconnectedError(
-            f"Y_{level} is disconnected; generators span {len(generated)} elements")
-
-    checked = []
-    for m in range(1, explicit_m + 1):
+    lifted = _certified_pullback(t, va)
+    for m in range(2, explicit_m + 1):
         ok, _ = voltage_connectedness(combined_voltage(
-            va, level_assignment(t, m), product(G, level_group(t, m))))
+            va, level_assignment(t, m), product(G, cyclic(ell ** m))))
         if not ok:
             raise DisconnectedError(
                 f"combined tower stage (n={level}, m={m}) is disconnected")
-        checked.append(m)
-    all_certified = 1 in checked      # m = 1 certifies every m (Frattini)
 
-    if G.order == 1:
-        # Y_0 is X itself, carrying the same voltages
-        cover_inv = base_inv
-    else:
-        # f mod ell = P(1+T) / (1+T)^K mod ell, and deg P <= D, so f mod ell
-        # has a nonzero coefficient through T^D unless it is 0; only then
-        # (mu > 0, or f = 0) is the exact P built
-        lifted = lift_tower(t, derived_graph(va).projection)
-        _, degree = _degree_bound(_laurent_matrix(lifted, lifted.values))
-        lam_f, _ = _doubled_lambda_mod_ell(lifted, DEFAULT_CAP, degree)
-        cover_inv = (iwasawa_invariants(lifted) if lam_f is None
-                     else IwasawaData(mu=0, lam=lam_f - 1))
+    # f mod ell = P(1+T) / (1+T)^K mod ell, and deg P <= D, so f mod ell has a
+    # nonzero coefficient through T^D unless it is 0; only then (mu > 0, or
+    # f = 0) is the exact P built
+    _, degree = _degree_bound(_laurent_matrix(lifted, lifted.values))
+    lam_f, _ = _doubled_lambda_mod_ell(lifted, DEFAULT_CAP, degree)
+    cover_inv = (iwasawa_invariants(lifted) if lam_f is None
+                 else IwasawaData(mu=0, lam=lam_f - 1))
     expected = ell ** (3 * level) * (base_inv.lam + 1) - 1
     return UniformTowerReport(ell=ell, level=level, base=base_inv,
                               cover=cover_inv, lambda_expected=expected,
-                              connectedness_certified=tuple(checked),
-                              all_levels_certified=all_certified)
+                              connectedness_certified=(1, *range(2, explicit_m + 1)),
+                              all_levels_certified=True)

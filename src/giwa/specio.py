@@ -19,6 +19,7 @@ Unknown keys are rejected so typos fail loudly.
 from __future__ import annotations
 
 import json
+from functools import reduce
 
 from .errors import ValidationError
 from .graphs import Multigraph, Orientation, build_multigraph
@@ -29,10 +30,20 @@ from .iwasawa import tower
 from .voltage import VoltageAssignment, voltage_assignment
 
 
-def _check_keys(obj: dict, allowed: set, where: str) -> None:
-    unknown = set(obj) - allowed
+def _check_keys(obj: dict, fields: dict, where: str, required=(), missing=None) -> None:
+    """Refuse a field not in fields, then a missing required one (with the
+    message missing, or "<where> needs '<key>'"), then one whose value is not
+    of its JSON type in fields: dict, list, or None for any."""
+    unknown = set(obj) - set(fields)
     if unknown:
         raise ValidationError(f"{where}: unknown fields {sorted(unknown)}")
+    for key in required:
+        if key not in obj:
+            raise ValidationError(missing or f"{where} needs '{key}'")
+    for key, kind in fields.items():
+        if kind and key in obj and not isinstance(obj[key], kind):
+            name = "an object" if kind is dict else "an array"
+            raise ValidationError(f"{where}: '{key}' must be {name}, got {obj[key]!r}")
 
 
 def _integer(value, what: str) -> int:
@@ -54,9 +65,8 @@ def load_json(path: str) -> dict:
 def graph_from_spec(spec: dict) -> Multigraph:
     if not isinstance(spec, dict):
         raise ValidationError("graph spec must be an object")
-    _check_keys(spec, {"vertices", "edges"}, "graph spec")
-    if "vertices" not in spec or "edges" not in spec:
-        raise ValidationError("graph spec needs 'vertices' and 'edges'")
+    _check_keys(spec, {"vertices": list, "edges": list}, "graph spec", ("vertices", "edges"),
+                "graph spec needs 'vertices' and 'edges'")
     for name in [*spec["vertices"], *(x for e in spec["edges"] for x in e)]:
         if type(name) not in (str, int):
             raise ValidationError(f"a vertex or edge name must be a string or integer: {name!r}")
@@ -68,22 +78,19 @@ def group_from_spec(spec: dict) -> FiniteGroup:
         raise ValidationError("group spec must be an object with a 'type'")
     kind = spec["type"]
     if kind == "cyclic":
-        _check_keys(spec, {"type", "order"}, "cyclic group spec")
+        _check_keys(spec, {"type": None, "order": None}, "cyclic group spec")
         return cyclic(_integer(spec.get("order"), "cyclic group order"))
     if kind == "product":
-        _check_keys(spec, {"type", "factors"}, "product group spec")
+        _check_keys(spec, {"type": None, "factors": list}, "product group spec", ("factors",))
         factors = [group_from_spec(f) for f in spec["factors"]]
         if len(factors) < 2:
             raise ValidationError("product needs at least two factors")
-        out = factors[0]
-        for f in factors[1:]:
-            out = product(out, f)
-        return out
+        return reduce(product, factors)
     if kind == "dihedral8":
-        _check_keys(spec, {"type"}, "dihedral group spec")
+        _check_keys(spec, {"type": None}, "dihedral group spec")
         return dihedral_8()
     if kind == "sl2":
-        _check_keys(spec, {"type", "ell", "level"}, "sl2 group spec")
+        _check_keys(spec, {"type": None, "ell": None, "level": None}, "sl2 group spec")
         return sl2_level_quotient(_integer(spec.get("ell"), "sl2 ell"),
                                   _integer(spec.get("level"), "sl2 level")).group
     raise ValidationError(f"unknown group type {kind!r}")
@@ -178,10 +185,8 @@ def orientation_from_spec(graph: Multigraph, entries: list | None) -> Orientatio
 
 
 def voltage_from_spec(spec: dict) -> VoltageAssignment:
-    _check_keys(spec, {"graph", "group", "alpha", "orientation"}, "voltage spec")
-    for key in ("graph", "group", "alpha"):
-        if key not in spec:
-            raise ValidationError(f"voltage spec needs '{key}'")
+    _check_keys(spec, {"graph": None, "group": None, "alpha": dict, "orientation": list},
+                "voltage spec", ("graph", "group", "alpha"))
     graph = graph_from_spec(spec["graph"])
     group = group_from_spec(spec["group"])
     orientation = orientation_from_spec(graph, spec.get("orientation"))
@@ -191,11 +196,9 @@ def voltage_from_spec(spec: dict) -> VoltageAssignment:
 
 def tower_from_spec(spec: dict) -> tuple:
     """Returns (tower, beta voltage assignment or None, requested levels or None)."""
-    _check_keys(spec, {"graph", "ell", "alpha", "beta", "beta_group",
-                       "levels", "orientation"}, "tower spec")
-    for key in ("graph", "ell", "alpha"):
-        if key not in spec:
-            raise ValidationError(f"tower spec needs '{key}'")
+    _check_keys(spec, {"graph": None, "ell": None, "alpha": dict, "beta": dict,
+                       "beta_group": None, "levels": None, "orientation": list},
+                "tower spec", ("graph", "ell", "alpha"))
     graph = graph_from_spec(spec["graph"])
     orientation = orientation_from_spec(graph, spec.get("orientation"))
     ell = _integer(spec["ell"], "'ell'")

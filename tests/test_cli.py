@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -206,6 +207,20 @@ class TestInvariantsCommand:
         assert captured.err == f"error: {message}\n"
 
 
+    def test_61_bit_ell_stops_at_the_level_one_vertex_cap(self, tmp_path, capsys):
+        # the level-1 certificate is a gcd, so Z/ell is never listed
+        spec = {"graph": {"vertices": ["v"], "edges": [["v", "v", "s1"], ["v", "v", "s2"]]},
+                "ell": 2 ** 61 - 1, "alpha": {"s1": 1, "s2": 2}}
+        path = tmp_path / "m61.json"
+        path.write_text(json.dumps(spec))
+        start = time.perf_counter()
+        assert main(["invariants", str(path)]) == 3
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == (
+            f"error: level 1 has {2 ** 61 - 1} vertices, over the cap 1000 "
+            f"(set GIWA_VERTEX_CAP to raise)\n")
+
+
 class TestKidaCommand:
     def test_ex1(self, capsys):
         code = main(["kida", spec_path("ex1_tower.json")])
@@ -228,6 +243,34 @@ class TestKidaCommand:
     def test_tower_spec_without_beta_rejected(self, capsys):
         code = main(["kida", spec_path("b3_graph.json")])
         assert code == 2
+
+    @pytest.mark.parametrize("path, value", [
+        (("alpha",), [1, 2, 3]),
+        (("beta",), [1]),
+        (("orientation",), 5),
+        (("graph", "vertices"), 5),
+        (("graph", "edges"), 7),
+        (("beta_group", "factors"), 3),
+    ], ids=["alpha", "beta", "orientation", "vertices", "edges", "factors"])
+    def test_container_of_the_wrong_json_type_exits_2(self, tmp_path, capsys, path, value):
+        spec = load_json(spec_path("ex1_tower.json"))
+        holder = spec
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = value
+        typed = tmp_path / "typed.json"
+        typed.write_text(json.dumps(spec))
+        assert main(["kida", str(typed)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_group_over_the_enumeration_cap_exits_3(self, tmp_path, capsys):
+        spec = load_json(spec_path("ex1_tower.json"))
+        spec["beta_group"]["factors"] = [{"type": "cyclic", "order": 2187}] * 2
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(spec))
+        assert main(["kida", str(big)]) == 3
+        assert capsys.readouterr().err == (
+            "error: group of order 4782969 exceeds the cap of 200000 elements\n")
 
 
 class TestChecksCommand:

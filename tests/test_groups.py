@@ -6,7 +6,8 @@ from giwa import (ResourceLimitError, UnsupportedError, ValidationError,
                   cyclic, dihedral_8, hom, product, reduction_hom,
                   sl2_level_quotient, subgroup_generated, trivial_group,
                   verify_uniform_quotients)
-from giwa.groups import DIHEDRAL_REFLECTION, DIHEDRAL_ROTATION, sl2_generators
+from giwa.groups import (DEFAULT_ENUMERATION_CAP, DIHEDRAL_REFLECTION, DIHEDRAL_ROTATION,
+                         sl2_generators)
 
 
 def check_group_axioms(G, rng, triples=1000):
@@ -28,6 +29,14 @@ class TestCyclicAndProduct:
     def test_invalid_order(self):
         with pytest.raises(ValidationError):
             cyclic(0)
+
+    def test_orders_over_the_enumeration_cap_are_refused(self):
+        assert cyclic(DEFAULT_ENUMERATION_CAP).order == DEFAULT_ENUMERATION_CAP
+        for build in (lambda: cyclic(DEFAULT_ENUMERATION_CAP + 1),
+                      lambda: cyclic(2 ** 61 - 1),
+                      lambda: product(cyclic(2187), cyclic(2187))):
+            with pytest.raises(ResourceLimitError, match="exceeds the cap of 200000 elements"):
+                build()
 
     def test_axioms(self):
         rng = random.Random(1)

@@ -1,6 +1,9 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import giwa.iwasawa
 
 from giwa import (CyclotomicElement, DisconnectedError, NotStabilizedError,
                   PadicTruncated, ValidationError, bouquet, build_multigraph,
@@ -9,12 +12,13 @@ from giwa import (CyclotomicElement, DisconnectedError, NotStabilizedError,
                   kappa_ord_sequence, kida_verify, lift_tower, product,
                   Tower, tower, tower_level,
                   twisted_characteristic_series, uniform_tower_check,
-                  verify_uniform_quotients, voltage_assignment)
+                  verify_uniform_quotients, voltage_assignment, voltage_connectedness)
 from giwa.characters import all_characters, trivial_character
 from giwa.errors import PrecisionError, ResourceLimitError
 from giwa.groups import DIHEDRAL_REFLECTION, DIHEDRAL_ROTATION
 from giwa import refdata
-from giwa.iwasawa import certify_levels_connected
+from giwa.graphs import Orientation
+from giwa.iwasawa import certify_levels_connected, level_assignment
 from giwa.voltage import derived_graph
 
 from test_graphs import two_vertex_four_edge_graph
@@ -135,6 +139,25 @@ class TestInvariants:
                 done += 1
 
 
+@st.composite
+def level_towers(draw):
+    """Towers over 1-4 vertices, trees (no loops) among them, with voltages
+    int or known mod ell^3..ell^5, of either sign and often multiples of ell."""
+    ell = draw(st.sampled_from([2, 3, 5, 7]))
+    verts = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    ends = [(verts[draw(st.integers(0, i - 1))], verts[i]) for i in range(1, len(verts))]
+    ends += draw(st.lists(st.tuples(st.sampled_from(verts), st.sampled_from(verts)),
+                          max_size=3))
+    assume(len(ends) != len(verts))              # chi = 0 is no tower base
+    graph = build_multigraph(verts, [(u, v, f"e{k}") for k, (u, v) in enumerate(ends)])
+    orientation = Orientation(tuple(2 * k + draw(st.integers(0, 1)) for k in range(len(ends))))
+    values = {}
+    for d in orientation:
+        v = draw(st.integers(-9, 9)) * ell ** draw(st.integers(0, 3))
+        values[d] = PadicTruncated(ell, draw(st.integers(3, 5)), v) if draw(st.booleans()) else v
+    return Tower(graph=graph, orientation=orientation, ell=ell, values=values)
+
+
 class TestTowerLevel:
     def test_level_zero_is_the_base(self):
         dg = tower_level(ex1_tower(), 0)
@@ -151,6 +174,34 @@ class TestTowerLevel:
                   {"s1": 1, "s2": 1, "s3": 1, "s4": 1})
         with pytest.raises(DisconnectedError, match="subgroup of order 1"):
             tower_level(t, 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(level_towers(), st.integers(1, 3))
+    def test_gcd_certificate_matches_the_enumerated_level(self, t, n):
+        # the reference lists Z/ell^n and closes the loop voltages in it
+        connected, generated = voltage_connectedness(level_assignment(t, n))
+        assert certify_levels_connected(t) == connected
+        if connected:
+            assert tower_level(t, n).graph.vertex_count == t.graph.vertex_count * t.ell ** n
+        else:
+            with pytest.raises(DisconnectedError) as got:
+                tower_level(t, n)
+            assert str(got.value) == (
+                f"level {n} is disconnected: voltages generate a subgroup of order "
+                f"{len(generated)} inside Z/{t.ell}^{n}")
+
+    def test_certificates_list_no_group(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError(f"cyclic({m}) listed")
+        monkeypatch.setattr(giwa.iwasawa, "cyclic", refuse)
+        t = ex1_tower()
+        inv = iwasawa_invariants(t)
+        assert (inv.mu, inv.lam) == (0, 5)
+        assert [row[2] for row in kappa_ord_sequence(t, 3)] == [0, 3, 8, 13]
+
+    def test_61_bit_ell_has_invariants(self):
+        inv = iwasawa_invariants(tower(bouquet(2), 2 ** 61 - 1, {"s1": 1, "s2": 2}))
+        assert (inv.mu, inv.lam) == (0, 1)
 
 
 class TestTowerCaches:
