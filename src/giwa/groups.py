@@ -28,7 +28,6 @@ class FiniteGroup:
     # orders of cyclic factors when the group is a declared product of cyclic
     # groups; None otherwise.  Used by the character machinery.
     cyclic_factor_orders: tuple | None = None
-    _repr_elem: Callable = field(default=str, repr=False)
     # the two factor groups when built as a direct product; None otherwise
     factors: tuple | None = field(default=None, repr=False)
 
@@ -52,9 +51,6 @@ class FiniteGroup:
             a = self._mul(a, a)
             n >>= 1
         return out
-
-    def repr_element(self, a) -> str:
-        return self._repr_elem(a)
 
     def contains(self, a) -> bool:
         return a in self._element_set()
@@ -115,9 +111,6 @@ def product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     if g1.cyclic_factor_orders is not None and g2.cyclic_factor_orders is not None:
         factors = g1.cyclic_factor_orders + g2.cyclic_factor_orders
 
-    def rep(a):
-        return f"({g1.repr_element(a[0])},{g2.repr_element(a[1])})"
-
     return FiniteGroup(
         name=f"{g1.name} x {g2.name}",
         elements=tuple((a, b) for a in g1.elements for b in g2.elements),
@@ -125,7 +118,6 @@ def product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
         _mul=lambda a, b: (g1.multiply(a[0], b[0]), g2.multiply(a[1], b[1])),
         _inv=lambda a: (g1.inverse(a[0]), g2.inverse(a[1])),
         cyclic_factor_orders=factors,
-        _repr_elem=rep,
         factors=(g1, g2),
     )
 
@@ -185,19 +177,12 @@ def dihedral_8() -> FiniteGroup:
     elems = closure(ident, [DIHEDRAL_ROTATION, DIHEDRAL_REFLECTION], _perm_mul)
     assert len(elems) == 8
 
-    def rep(p):
-        names = {ident: "1", DIHEDRAL_ROTATION: "r", DIHEDRAL_REFLECTION: "t"}
-        if p in names:
-            return names[p]
-        return "perm" + "".join(str(i) for i in p)
-
     return FiniteGroup(
         name="D8",
         elements=tuple(elems),
         identity=ident,
         _mul=_perm_mul,
         _inv=_perm_inv,
-        _repr_elem=rep,
     )
 
 
@@ -276,7 +261,6 @@ def sl2_level_quotient(ell: int, level: int,
         identity=ident,
         _mul=lambda x, y: _mat_mul_mod(x, y, mod),
         _inv=lambda x: _mat_inv_mod(x, mod),
-        _repr_elem=lambda m: f"[[{m[0]},{m[1]}],[{m[2]},{m[3]}]]",
     )
     return SL2Quotient(ell=ell, level=level, group=group)
 

@@ -67,6 +67,9 @@ def graph_from_spec(spec: dict) -> Multigraph:
         raise ValidationError("graph spec must be an object")
     _check_keys(spec, {"vertices": list, "edges": list}, "graph spec", ("vertices", "edges"),
                 "graph spec needs 'vertices' and 'edges'")
+    for pos, edge in enumerate(spec["edges"]):
+        if not isinstance(edge, list):
+            raise ValidationError(f"graph spec: edge #{pos + 1} must be an array, got {edge!r}")
     for name in [*spec["vertices"], *(x for e in spec["edges"] for x in e)]:
         if type(name) not in (str, int):
             raise ValidationError(f"a vertex or edge name must be a string or integer: {name!r}")
@@ -116,8 +119,10 @@ def _split_top_level(body: str) -> list:
 
 def parse_element(group: FiniteGroup, text) -> object:
     """Parse one element from its spec string (or int for cyclic groups)."""
-    if isinstance(text, int):
+    if type(text) is int:               # a JSON boolean is refused below
         text = str(text)
+    if not isinstance(text, str):
+        raise ValidationError(f"a group element must be a string or integer, got {text!r}")
     text = text.strip()
     name = group.name
     if group.factors is None and name.startswith("Z/"):

@@ -114,26 +114,20 @@ def derived_graph(va: VoltageAssignment) -> DerivedGraph:
     G = va.group
     verts = [(v, sigma) for v in base.vertices for sigma in G.elements]
     edges = []
+    along = {}              # base edge id -> the orientation edge carrying it
     for s in va.orientation:
         u_id = base.vertices[base.origin[s]]
         v_id = base.vertices[base.terminus[s]]
         a = va.values[s]
         eid = base.edge_ids[s >> 1]
+        along[eid] = s
         for sigma in G.elements:
             tau = G.multiply(sigma, a)
             edges.append(((u_id, sigma), (v_id, tau), (eid, sigma)))
     graph = build_multigraph(verts, edges)
-    # projection: (v, sigma) -> v; the k-th derived undirected edge came from
-    # orientation edge s = orientation.edges[k // |G|] in declared direction
-    vmap = [base.vertex_index(v) for (v, _sigma) in graph.vertices]
-    emap = []
-    n_g = G.order
-    for k in range(graph.undirected_edge_count):
-        s = va.orientation.edges[k // n_g]
-        emap.extend((s, base.inv(s)))
-    proj = CoverMap(source=graph, target=base,
-                    vertex_map=tuple(vmap), edge_map=tuple(emap))
-    return DerivedGraph(graph=graph, projection=proj, assignment=va)
+    return DerivedGraph(graph=graph, assignment=va,
+                        projection=_label_cover(graph, base, lambda v: v[0],
+                                                lambda e: along[e[0]]))
 
 
 def voltage_connectedness(va: VoltageAssignment) -> tuple:
@@ -179,7 +173,9 @@ def _lift_automorphism(f: CoverMap, w0: int, w1: int):
     """Attempt the unique deck transformation sending w0 to w1.
 
     Covers admit unique path lifts, so an automorphism over the base is
-    determined by the image of one vertex; propagate and check consistency.
+    determined by the image of one vertex: each edge out of a reached vertex
+    goes to the edge over the same base edge out of its image.  CoverMap
+    checks that the result is a morphism; it must also be a bijection.
     """
     s = f.source
     vmap = {w0: w1}
@@ -187,36 +183,25 @@ def _lift_automorphism(f: CoverMap, w0: int, w1: int):
     stack = [w0]
     while stack:
         w = stack.pop()
-        img = vmap[w]
-        star_img = {f.edge_map[d]: d for d in s.out_edges(img)}
-        if len(star_img) != len(s.out_edges(img)):
+        star_img = {f.edge_map[d]: d for d in s.out_edges(vmap[w])}
+        if len(star_img) != len(s.out_edges(vmap[w])):
             return None
         for d in s.out_edges(w):
-            base_edge = f.edge_map[d]
-            lifted = star_img.get(base_edge)
+            lifted = star_img.get(f.edge_map[d])
             if lifted is None:
                 return None
-            if d in emap:
-                if emap[d] != lifted:
-                    return None
-                continue
             emap[d] = lifted
-            emap[s.inv(d)] = s.inv(lifted)
-            nxt, nxt_img = s.terminus[d], s.terminus[lifted]
-            if nxt in vmap:
-                if vmap[nxt] != nxt_img:
-                    return None
-            else:
-                vmap[nxt] = nxt_img
-                stack.append(nxt)
-    if len(vmap) != s.vertex_count or len(emap) != s.directed_edge_count:
-        return None                      # source not connected from w0
-    # must be a bijection commuting with f
+            if s.terminus[d] not in vmap:
+                vmap[s.terminus[d]] = s.terminus[lifted]
+                stack.append(s.terminus[d])
+    try:
+        CoverMap(source=s, target=s,
+                 vertex_map=tuple(vmap[w] for w in range(s.vertex_count)),
+                 edge_map=tuple(emap[d] for d in range(s.directed_edge_count)))
+    except ValidationError:
+        return None
     if len(set(vmap.values())) != s.vertex_count:
         return None
-    for w, img in vmap.items():
-        if f.vertex_map[img] != f.vertex_map[w]:
-            return None
     return vmap, emap
 
 
@@ -242,18 +227,15 @@ def is_galois(f: CoverMap) -> tuple:
 
     Galois means: connected source and the deck group transitive on every
     fiber.  For a disconnected source the answer is False with no decks.
+    Decks act freely and the fibers of a connected cover have one size, so
+    the deck group is transitive on every fiber when it is as large as one.
     """
     if not is_cover(f):
         raise ValidationError("not a cover")
     if not is_connected(f.source):
         return False, []
     decks = deck_transformations(f)
-    for v in range(f.target.vertex_count):
-        fiber = f.fiber(v)
-        orbit = {d[0][fiber[0]] for d in decks}
-        if orbit != set(fiber):
-            return False, decks
-    return True, decks
+    return len(decks) == len(f.fiber(f.vertex_map[0])), decks
 
 
 def component_degrees(f: CoverMap) -> list:

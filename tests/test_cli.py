@@ -409,3 +409,30 @@ class TestChecksExampleTwoLevelOne:
         assert code == 0
         # |G| kappa_1 = 2 * 6 on the left, kappa_X * h(1,psi) = 1 * 12 right
         assert "lhs=12 rhs=12" in out
+
+
+@pytest.mark.parametrize("command, spec_name, path, value, message", [
+    ("kida", "ex1_tower.json", ("beta", "s1"), [1, 0],
+     "a group element must be a string or integer, got [1, 0]"),
+    ("checks", "b3_level1_voltage.json", ("alpha", "s1"), [1],
+     "a group element must be a string or integer, got [1]"),
+    ("checks", "b3_level1_voltage.json", ("alpha", "s1"), 1.5,
+     "a group element must be a string or integer, got 1.5"),
+    ("checks", "b3_level1_voltage.json", ("alpha", "s1"), True,
+     "a group element must be a string or integer, got True"),
+    ("kida", "ex1_tower.json", ("graph", "edges", 0), 5,
+     "graph spec: edge #1 must be an array, got 5"),
+], ids=["array-beta", "array-alpha", "float-alpha", "bool-alpha", "int-edge"])
+def test_malformed_element_or_edge_exits_2(tmp_path, capsys, command, spec_name, path,
+                                           value, message):
+    spec = load_json(spec_path(spec_name))
+    holder = spec
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    assert main([command, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert "Traceback" not in err

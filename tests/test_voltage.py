@@ -607,3 +607,142 @@ class TestOrientationDefects:
             tower(bouquet(2), 3, {"s1": 1})
         with pytest.raises(ValidationError, match="unknown edge 's9'"):
             voltage_assignment(bouquet(2), cyclic(3), {"s1": 1, "s2": 2, "s9": 0})
+
+
+# -- deck transformations and the Galois test, against the orbit reference ---
+
+def permutation_cover(perms):
+    """The permutation-voltage cover of bouquet(len(perms)): vertex i over the
+    one base vertex, and loop s_j lifted to edges i -> perms[j][i]."""
+    X = bouquet(len(perms))
+    points = range(len(perms[0]))
+    edges = [(i, p[i], (j, i)) for j, p in enumerate(perms) for i in points]
+    Y = build_multigraph(list(points), edges)
+    emap = [d for j, _p in enumerate(perms) for _i in points for d in (2 * j, 2 * j + 1)]
+    return CoverMap(source=Y, target=X, vertex_map=(0,) * Y.vertex_count,
+                    edge_map=tuple(emap))
+
+
+@pytest.mark.parametrize("perms, galois, deck_count", [
+    (((1, 2, 0), (2, 1, 0)), False, 1),           # S3 on 3 points
+    (((1, 0, 3, 2), (1, 2, 3, 0)), False, 2),     # D8 on 4 points
+    (((1, 2, 0), (2, 0, 1)), True, 3),            # Z/3 on 3 points
+], ids=["S3", "D8", "Z3"])
+def test_connected_permutation_covers(perms, galois, deck_count):
+    f = permutation_cover(perms)
+    assert is_cover(f) and is_connected(f.source)
+    got, decks = is_galois(f)
+    assert (got, len(decks)) == (galois, deck_count)
+    assert [vmap for vmap, _ in decks] == [vmap for vmap, _ in deck_transformations(f)]
+
+
+def reference_lift_automorphism(f, w0, w1):
+    """The deck lift with its own consistency checks, as it stood before
+    CoverMap made them: propagate, compare every edge and vertex already
+    mapped, then test bijectivity and commutation with f."""
+    s = f.source
+    vmap = {w0: w1}
+    emap = {}
+    stack = [w0]
+    while stack:
+        w = stack.pop()
+        img = vmap[w]
+        star_img = {f.edge_map[d]: d for d in s.out_edges(img)}
+        if len(star_img) != len(s.out_edges(img)):
+            return None
+        for d in s.out_edges(w):
+            lifted = star_img.get(f.edge_map[d])
+            if lifted is None:
+                return None
+            if d in emap:
+                if emap[d] != lifted:
+                    return None
+                continue
+            emap[d] = lifted
+            emap[s.inv(d)] = s.inv(lifted)
+            nxt, nxt_img = s.terminus[d], s.terminus[lifted]
+            if nxt in vmap:
+                if vmap[nxt] != nxt_img:
+                    return None
+            else:
+                vmap[nxt] = nxt_img
+                stack.append(nxt)
+    if len(vmap) != s.vertex_count or len(emap) != s.directed_edge_count:
+        return None
+    if len(set(vmap.values())) != s.vertex_count:
+        return None
+    if any(f.vertex_map[img] != f.vertex_map[w] for w, img in vmap.items()):
+        return None
+    return vmap, emap
+
+
+@st.composite
+def connected_small_graphs(draw):
+    """1-3 vertices joined by a spanning path, plus 1-3 loops or parallel edges."""
+    verts = [f"v{i}" for i in range(draw(st.integers(1, 3)))]
+    extra = draw(st.lists(st.tuples(st.sampled_from(verts), st.sampled_from(verts)),
+                          min_size=1, max_size=3))
+    ends = list(zip(verts, verts[1:])) + extra
+    return build_multigraph(verts, [(u, v, f"e{k}") for k, (u, v) in enumerate(ends)])
+
+
+@st.composite
+def connected_morphisms(draw):
+    """A derived-graph projection over a connected base (cyclic, product or D8
+    voltages), a permutation-voltage cover of a bouquet, which is often not
+    Galois, or an arbitrary map onto a bouquet, which is rarely a cover."""
+    kind = draw(st.sampled_from(["derived", "permutation", "bouquet map"]))
+    if kind == "permutation":
+        points = range(draw(st.integers(2, 5)))
+        return permutation_cover(draw(st.lists(st.permutations(points), min_size=1,
+                                               max_size=3)))
+    graph = draw(connected_small_graphs())
+    if kind == "derived":
+        flips = draw(st.lists(st.integers(0, 1), min_size=graph.undirected_edge_count,
+                              max_size=graph.undirected_edge_count))
+        orientation = Orientation(tuple(2 * k + flip for k, flip in enumerate(flips)))
+        group = draw(st.sampled_from(VOLTAGE_GROUPS + [dihedral_8()]))
+        return derived_graph(draw_assignment(draw, (graph, orientation), group)).projection
+    loops = draw(st.integers(1, 3))
+    emap = []
+    for _ in graph.edge_ids:
+        d = draw(st.integers(0, 2 * loops - 1))
+        emap.extend((d, d ^ 1))
+    return CoverMap(source=graph, target=bouquet(loops),
+                    vertex_map=(0,) * graph.vertex_count, edge_map=tuple(emap))
+
+
+@LABEL_SETTINGS
+@given(connected_morphisms())
+def test_deck_transformations_match_the_reference_lift(f):
+    if not is_connected(f.source):
+        with pytest.raises(DisconnectedError):
+            deck_transformations(f)
+        return
+    fiber = f.fiber(f.vertex_map[0])
+    want = [lift for lift in (reference_lift_automorphism(f, 0, w1) for w1 in fiber)
+            if lift is not None]
+    got = deck_transformations(f)
+    assert got == want
+    if is_cover(f):
+        orbits_full = all({vmap[f.fiber(v)[0]] for vmap, _ in want} == set(f.fiber(v))
+                          for v in range(f.target.vertex_count))
+        assert is_galois(f) == (orbits_full, got)
+
+
+@LABEL_SETTINGS
+@given(st.data())
+def test_derived_graph_projection_matches_index_arithmetic(data):
+    # derived undirected edge k comes from orientation edge S[k // |G|], in
+    # its declared direction; vertex (v, sigma) lies over v
+    base = data.draw(small_bases())
+    va = draw_assignment(data.draw, base,
+                         data.draw(st.sampled_from(VOLTAGE_GROUPS + [dihedral_8()])))
+    dg = derived_graph(va)
+    X, n_g = va.graph, va.group.order
+    emap = []
+    for k in range(dg.graph.undirected_edge_count):
+        s = va.orientation.edges[k // n_g]
+        emap.extend((s, X.inv(s)))
+    assert dg.projection.vertex_map == tuple(X.vertex_index(v) for v, _ in dg.graph.vertices)
+    assert dg.projection.edge_map == tuple(emap)
