@@ -41,14 +41,13 @@ from .errors import (DisconnectedError, GiwaError, PrecisionError,
 from .graphs import (Multigraph, Orientation, bareiss_determinant,
                      euler_characteristic, is_connected, pi1_basis,
                      spanning_tree_count)
-from .groups import FiniteGroup, cyclic, product
+from .groups import FiniteGroup, cyclic
 from .numtheory import factor_integer, is_prime, ord_int, prime_power_exponent
 from .series import (PadicTruncated, TruncatedPowerSeries, binomial_coefficients,
                      binomial_digits, binomial_mod_ell, ring_determinant,
                      truncated_determinant, truncated_valuation)
-from .voltage import (CoverMap, DerivedGraph, VoltageAssignment, combined_voltage,
-                      derived_graph, lift_voltages, voltage_assignment,
-                      voltage_connectedness)
+from .voltage import (CoverMap, DerivedGraph, VoltageAssignment, derived_graph,
+                      lift_voltages, voltage_assignment, voltage_connectedness)
 
 DEFAULT_CAP = 64
 MAX_CAP = 2048
@@ -502,9 +501,7 @@ def iwasawa_invariants(t: Tower, cap: int = DEFAULT_CAP,
         raise ValidationError("cap must be >= 1")
     if max_cap < 1:
         raise ValidationError("max_cap must be >= 1")
-    if not certify_levels_connected(t):
-        raise DisconnectedError(
-            "tower levels are disconnected; invariants are undefined")
+    _require_level_connected(t, 1)
     precision = _voltage_precision(t)
     if precision is None:
         ld = _tower_p(t)
@@ -642,28 +639,31 @@ def lift_tower(t: Tower, p: CoverMap) -> Tower:
 
 
 def certify_pullback_connected(t: Tower, va_beta: VoltageAssignment) -> tuple:
-    """All pullback levels are connected iff the combined voltage generates G x Z/ell.
-
-    For an ell-group G the Frattini quotient of G x Z/ell^m does not depend
-    on m >= 1, so by the Burnside basis theorem one generation check at
-    m = 1 certifies the whole tower.  Returns (ok, generated subgroup).
-    """
-    return voltage_connectedness(combined_voltage(
-        va_beta, level_assignment(t, 1), product(va_beta.group, cyclic(t.ell))))
+    """(ok, lift): ok when X(G, S, beta) and every level of the pullback tower
+    are connected.  The lift of the tower to X(G, S, beta) is None when that
+    cover is disconnected; otherwise level m of the lift is X(G x Z/ell^m, S,
+    (beta, alpha)), certified for every m by its loop voltages mod ell."""
+    if not voltage_connectedness(va_beta)[0]:
+        return False, None
+    lifted = lift_tower(t, derived_graph(va_beta).projection)
+    return certify_levels_connected(lifted), lifted
 
 
 def _certified_pullback(t: Tower, va_beta: VoltageAssignment) -> Tower:
     """The tower lifted to X(G, S, beta), or DisconnectedError unless that cover
     and every level of the pullback tower are connected."""
-    ok, generated = certify_pullback_connected(t, va_beta)
+    ok, lifted = certify_pullback_connected(t, va_beta)
+    if lifted is None:
+        raise DisconnectedError("the covering graph X(G, S, beta) is disconnected")
     if not ok:
-        # the cover's own voltages generate the projection of generated onto G
-        if len({g for g, _a in generated}) < va_beta.group.order:
-            raise DisconnectedError("the covering graph X(G, S, beta) is disconnected")
+        # level 1 of the lift is X(G x Z/ell, S, (beta, alpha)): over each base
+        # vertex a component has as many vertices as the combined voltages
+        # generate, |G| times the lift's level-1 order
         raise DisconnectedError(
             f"pullback tower disconnected: combined voltages generate "
-            f"{len(generated)} of {va_beta.group.order * t.ell} elements")
-    return lift_tower(t, derived_graph(va_beta).projection)
+            f"{va_beta.group.order * _level_order(lifted, 1)} of "
+            f"{va_beta.group.order * t.ell} elements")
+    return lifted
 
 
 @dataclass(frozen=True)
@@ -777,19 +777,25 @@ class UniformTowerReport:
                 and self.all_levels_certified)
 
 
-def uniform_tower_data(ell: int, level: int, base: Tower | None = None) -> tuple:
-    """The bouquet-of-four construction: (graph, alpha assignment, tower).
+def uniform_tower_check(ell: int, level: int, explicit_m: int = 2,
+                        vertex_cap: int = DEFAULT_VERTEX_CAP,
+                        base: Tower | None = None) -> UniformTowerReport:
+    """Verify lambda_n = ell^(3n)(lambda+1) - 1 for the SL2 congruence tower.
 
-    alpha sends the first three loops to the standard SL2 congruence-kernel
-    generators at the given level and the fourth loop to the identity; the
-    tower voltage is 0 on the first three loops and 1 on the fourth.  A base
-    equal to that tower is used in its place, so that callers at several
-    levels share its cached P.
+    Y_n = X(G_n, S, alpha) over the bouquet of four loops: alpha sends the
+    first three loops to the standard SL2 congruence-kernel generators at the
+    given level and the fourth to the identity; the tower voltage is 0 on the
+    first three loops and 1 on the fourth.  G_n, and so Y_n, is refused over
+    the vertex cap before it is listed.  Y_n and every level of the tower
+    lifted to it are certified (_certified_pullback), the levels
+    2..explicit_m also one by one, and the invariants over Y_n are computed
+    from the lift.  A base equal to the bouquet tower is used in its place,
+    so that callers at several levels share its cached P.
     """
     from .graphs import bouquet
-    from .groups import sl2_generators, sl2_level_quotient
+    from .groups import DEFAULT_ENUMERATION_CAP, sl2_generators, sl2_level_quotient
 
-    G = sl2_level_quotient(ell, level).group
+    G = sl2_level_quotient(ell, level, cap=min(vertex_cap, DEFAULT_ENUMERATION_CAP)).group
     t = tower(bouquet(4), ell, {"s1": 0, "s2": 0, "s3": 0, "s4": 1})
     if base is not None:
         if base != t:
@@ -797,34 +803,11 @@ def uniform_tower_data(ell: int, level: int, base: Tower | None = None) -> tuple
                 "base must be the bouquet-of-four tower with voltages 0, 0, 0, 1")
         t = base
     a1, a2, a3 = sl2_generators(ell, level)
-    alpha = {"s1": a1, "s2": a2, "s3": a3, "s4": G.identity}
-    va = voltage_assignment(t.graph, G, alpha)
-    return t.graph, va, t
-
-
-def uniform_tower_check(ell: int, level: int, explicit_m: int = 2,
-                        vertex_cap: int = DEFAULT_VERTEX_CAP,
-                        base: Tower | None = None) -> UniformTowerReport:
-    """Verify lambda_n = ell^(3n)(lambda+1) - 1 for the SL2 congruence tower.
-
-    Builds Y_n = X(G_n, S, alpha), certifies Y_n and every stage m of the
-    combined tower (_certified_pullback, by the Frattini argument at m = 1;
-    the stages 2..explicit_m also explicitly), and computes the invariants
-    over Y_n via the pulled-back tower.  base is passed to uniform_tower_data.
-    """
-    X, va, t = uniform_tower_data(ell, level, base)
-    G = va.group
-    if G.order * X.vertex_count > vertex_cap:
-        raise ResourceLimitError(
-            f"Y_{level} would have {G.order} vertices, over the cap {vertex_cap}")
+    va = voltage_assignment(t.graph, G, {"s1": a1, "s2": a2, "s3": a3, "s4": G.identity})
     base_inv = iwasawa_invariants(t)
     lifted = _certified_pullback(t, va)
     for m in range(2, explicit_m + 1):
-        ok, _ = voltage_connectedness(combined_voltage(
-            va, level_assignment(t, m), product(G, cyclic(ell ** m))))
-        if not ok:
-            raise DisconnectedError(
-                f"combined tower stage (n={level}, m={m}) is disconnected")
+        _require_level_connected(lifted, m)
 
     # f mod ell = P(1+T) / (1+T)^K mod ell, and deg P <= D, so f mod ell has a
     # nonzero coefficient through T^D unless it is 0; only then (mu > 0, or

@@ -221,6 +221,16 @@ class TestInvariantsCommand:
             f"(set GIWA_VERTEX_CAP to raise)\n")
 
 
+    def test_disconnected_tower_exits_2_with_the_level_refusal(self, tmp_path, capsys):
+        spec = {"graph": {"vertices": ["v"], "edges": [["v", "v", "s1"], ["v", "v", "s2"]]},
+                "ell": 3, "alpha": {"s1": 3, "s2": 6}}
+        path = tmp_path / "b36.json"
+        path.write_text(json.dumps(spec))
+        assert main(["invariants", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: level 1 is disconnected: voltages generate a subgroup of order 1 "
+            "inside Z/3^1\n")
+
 class TestKidaCommand:
     def test_ex1(self, capsys):
         code = main(["kida", spec_path("ex1_tower.json")])

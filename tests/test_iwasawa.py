@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import giwa.groups
 import giwa.iwasawa
 
 from giwa import (CyclotomicElement, DisconnectedError, NotStabilizedError,
@@ -14,12 +15,13 @@ from giwa import (CyclotomicElement, DisconnectedError, NotStabilizedError,
                   twisted_characteristic_series, uniform_tower_check,
                   verify_uniform_quotients, voltage_assignment, voltage_connectedness)
 from giwa.characters import all_characters, trivial_character
-from giwa.errors import PrecisionError, ResourceLimitError
+from giwa.errors import PrecisionError, ResourceLimitError, UnsupportedError
 from giwa.groups import DIHEDRAL_REFLECTION, DIHEDRAL_ROTATION
 from giwa import refdata
 from giwa.graphs import Orientation
-from giwa.iwasawa import certify_levels_connected, level_assignment
-from giwa.voltage import derived_graph
+from giwa.iwasawa import (_certified_pullback, certify_levels_connected,
+                          certify_pullback_connected, level_assignment)
+from giwa.voltage import VoltageAssignment, combined_voltage, derived_graph
 
 from test_graphs import two_vertex_four_edge_graph
 
@@ -378,6 +380,103 @@ class TestKida:
                 assert report.formula_holds
             assert report.mu_equivalence
             done += 1
+
+
+def combined_closure_refusal(t, va_beta):
+    """The refusal, or None, of the closure of the combined loop voltages in
+    G x Z/ell, which certified pullback towers before the lift's gcd did."""
+    ok, generated = voltage_connectedness(combined_voltage(
+        va_beta, level_assignment(t, 1), product(va_beta.group, cyclic(t.ell))))
+    if ok:
+        return None
+    if len({g for g, _a in generated}) < va_beta.group.order:
+        return "the covering graph X(G, S, beta) is disconnected"
+    return (f"pullback tower disconnected: combined voltages generate "
+            f"{len(generated)} of {va_beta.group.order * t.ell} elements")
+
+
+@st.composite
+def pullback_draws(draw):
+    """(tower, beta): a tower over 1-3 vertices, trees among them, with ell in
+    {2, 3, 5} and voltages often multiples of ell, some known only mod
+    ell^1..ell^3; beta into Z/ell, Z/ell^2, Z/ell x Z/ell or, for ell = 2, D8,
+    often the identity."""
+    ell = draw(st.sampled_from([2, 3, 5]))
+    verts = [f"v{i}" for i in range(draw(st.integers(1, 3)))]
+    ends = [(verts[draw(st.integers(0, i - 1))], verts[i]) for i in range(1, len(verts))]
+    ends += draw(st.lists(st.tuples(st.sampled_from(verts), st.sampled_from(verts)),
+                          max_size=3))
+    assume(len(ends) != len(verts))              # chi = 0 is no tower base
+    graph = build_multigraph(verts, [(u, v, f"e{k}") for k, (u, v) in enumerate(ends)])
+    orientation = Orientation(tuple(2 * k + draw(st.integers(0, 1)) for k in range(len(ends))))
+    values = {}
+    for d in orientation:
+        v = draw(st.integers(-9, 9)) * ell ** draw(st.integers(0, 2))
+        values[d] = PadicTruncated(ell, draw(st.integers(1, 3)), v) if draw(st.booleans()) else v
+    groups = [cyclic(ell), cyclic(ell ** 2), product(cyclic(ell), cyclic(ell))]
+    G = draw(st.sampled_from(groups + ([dihedral_8()] if ell == 2 else [])))
+    beta = {d: draw(st.one_of(st.just(G.identity), st.sampled_from(G.elements)))
+            for d in orientation}
+    t = Tower(graph=graph, orientation=orientation, ell=ell, values=values)
+    return t, VoltageAssignment(graph=graph, orientation=orientation, group=G, values=beta)
+
+
+class TestPullbackCertificate:
+    @settings(max_examples=200, deadline=None)
+    @given(pullback_draws())
+    def test_lift_gcd_matches_the_combined_closure(self, case):
+        t, va = case
+        expected = combined_closure_refusal(t, va)
+        assert certify_pullback_connected(t, va)[0] == (expected is None)
+        if expected is None:
+            lifted = _certified_pullback(t, va)
+            assert lifted.graph.vertex_count == va.group.order * t.graph.vertex_count
+            assert is_connected(derived_graph(level_assignment(lifted, 1)).graph)
+        else:
+            with pytest.raises(DisconnectedError) as got:
+                _certified_pullback(t, va)
+            assert str(got.value) == expected
+
+    @pytest.mark.parametrize("beta, message", [
+        ((1, 0), "pullback tower disconnected: combined voltages generate 3 of 9 elements"),
+        ((0, 0), "the covering graph X(G, S, beta) is disconnected"),
+    ])
+    def test_refusal_texts(self, beta, message):
+        t = tower(bouquet(2), 3, {"s1": 1, "s2": 0})
+        assert certify_levels_connected(t)
+        with pytest.raises(DisconnectedError) as got:
+            kida_verify(t, {"s1": beta[0], "s2": beta[1]}, cyclic(3))
+        assert str(got.value) == message
+
+    def test_certified_two_loop_pullback(self):
+        report = kida_verify(tower(bouquet(2), 3, {"s1": 1, "s2": 0}),
+                             {"s1": 0, "s2": 1}, cyclic(3))
+        assert report.ok
+        assert (report.cover.lam + 1, report.base.lam + 1) == (6, 2)
+
+    def test_pullbacks_list_no_group_beyond_g(self, monkeypatch):
+        G = product(cyclic(3), cyclic(3))
+
+        def refuse(m):
+            raise AssertionError(f"cyclic({m}) listed")
+        monkeypatch.setattr(giwa.iwasawa, "cyclic", refuse)
+        report = kida_verify(ex1_tower(), {"s1": (1, 0), "s2": (0, 1), "s3": (1, 0)}, G)
+        assert report.cover.lam + 1 == 9 * (report.base.lam + 1) == 54
+        assert uniform_tower_check(3, 1).cover.lam == 53
+
+
+def test_sl2_check_is_refused_over_the_vertex_cap_before_listing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a group was listed")
+    monkeypatch.setattr(giwa.groups, "closure", refuse)
+    for ell, level in ((7, 2), (3, 3)):
+        with pytest.raises(ResourceLimitError, match=f"order {ell ** (3 * level)} "):
+            uniform_tower_check(ell, level)
+    with pytest.raises(UnsupportedError):
+        uniform_tower_check(2, 1)
+    for ell, level in ((4, 1), (3, -1)):
+        with pytest.raises(ValidationError):
+            uniform_tower_check(ell, level)
 
 
 class TestTwistedSeries:
