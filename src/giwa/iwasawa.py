@@ -225,19 +225,24 @@ class LaurentDeterminant:
         """
         m = self.mu(ell)
         red = [(c // ell ** m) % ell for c in self.coeffs]
+        # (u - 1)^(ell^k) = u^(ell^k) - 1 over F_ell: divide by it while it
+        # divides, from the largest ell^k <= deg P down to 1
+        step = 1
+        while step * ell < len(red):
+            step *= ell
         mult = 0
-        while any(red):
-            # synthetic division by (u - 1) over F_ell
-            acc = 0
-            quot = [0] * len(red)
-            for d in range(len(red) - 1, -1, -1):
-                acc = (acc + red[d]) % ell
-                quot[d] = acc
-            if acc % ell != 0:
-                break
-            # remainder is acc at d = 0; acc == P(1); division valid iff 0
-            red = quot[1:]
-            mult += 1
+        while step:
+            while step < len(red):
+                # red = q (u^step - 1) + r: q_j = red_(j+step) + q_(j+step)
+                q = red[step:]
+                for j in range(len(q) - step - 1, -1, -1):
+                    q[j] = (q[j] + q[j + step]) % ell
+                # r_j = red_j + q_j for j < step, q_j = 0 past the end of q
+                if any((a + b) % ell for a, b in zip(red, q[:step] + [0] * (step - len(q)))):
+                    break
+                red = q
+                mult += step
+            step //= ell
         return mult
 
 
@@ -343,9 +348,8 @@ def _degree_bound(ent: list) -> tuple:
     """(row shifts, D) for a matrix of Laurent polynomials {exponent: coeff}:
     row i times u^(shift_i) is polynomial, and P = u^K det(ent), with K the
     sum of the shifts, has degree at most D, the sum of the rows' spans."""
-    shifts = [-min(min(d, default=0) for d in row) for row in ent]
-    return shifts, sum(max(max(d, default=0) for d in row) + s
-                       for row, s in zip(ent, shifts))
+    exps = [[e for d in row for e in (d or (0,))] for row in ent]   # empty entry: u^0
+    return [-min(r) for r in exps], sum(max(r) - min(r) for r in exps)
 
 
 def _slot_bits(ent: list) -> int:
@@ -811,9 +815,11 @@ def uniform_tower_check(ell: int, level: int, explicit_m: int = 2,
 
     # f mod ell = P(1+T) / (1+T)^K mod ell, and deg P <= D, so f mod ell has a
     # nonzero coefficient through T^D unless it is 0; only then (mu > 0, or
-    # f = 0) is the exact P built
+    # f = 0) is the exact P built.  The kernel runs at cap D at once: the
+    # cover's lambda(f) is D itself whenever the check holds, and a smaller
+    # cap would only be doubled up to it
     _, degree = _degree_bound(_laurent_matrix(lifted, lifted.values))
-    lam_f, _ = _doubled_lambda_mod_ell(lifted, DEFAULT_CAP, degree)
+    lam_f = lambda_mod_ell(lifted, degree)
     cover_inv = (iwasawa_invariants(lifted) if lam_f is None
                  else IwasawaData(mu=0, lam=lam_f - 1))
     expected = ell ** (3 * level) * (base_inv.lam + 1) - 1

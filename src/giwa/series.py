@@ -461,7 +461,12 @@ def truncated_valuation(matrix: Sequence[Sequence[Sequence[int]]], ell: int,
     known only through T^(prec - v - 1), so the rows below are too, and the
     precision left drops by v.  The determinant is the product of the
     pivots up to sign, so its valuation is the sum of the pivot valuations,
-    certified as long as each pivot is nonzero at the precision left.
+    certified as long as each pivot is nonzero at the precision left.  Of
+    the rows tied at the least valuation, the pivot is the one with the
+    fewest nonzeros right of column k, then the lowest index (Markowitz's
+    rule, against fill-in).  Any least-valuation pivot gives the same
+    answer: two differ by a unit, so the Schur complements differ by an
+    invertible row operation.
 
     Every series is one packed integer with one slot of `width` bytes per
     coefficient.  A slot of any product formed sums at most cap + 1 products
@@ -514,7 +519,8 @@ def truncated_valuation(matrix: Sequence[Sequence[Sequence[int]]], ell: int,
                   for i in range(k, n) if M[i][k]]
         if not column:
             return None
-        v, best = min(column)
+        v = min(column)[0]
+        best = max((i for u, i in column if u == v), key=lambda i: M[i][k + 1:].count(0))
         M[k], M[best] = M[best], M[k]
         pivot = M[k]
         prec -= v

@@ -12,9 +12,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from giwa import (IwasawaData, PadicTruncated, PrecisionError, Tower, bouquet,
                   build_multigraph, cyclic, derived_graph, iwasawa_invariants,
-                  kappa_ord_sequence, lift_tower, product, spanning_tree_count,
-                  tower, tower_level, voltage_assignment, voltage_connectedness)
-from giwa.iwasawa import _degree_bound, _laurent_matrix, _tower_p, lambda_mod_ell
+                  kappa_ord_sequence, lift_tower, product, refdata, spanning_tree_count,
+                  tower, tower_level, uniform_tower_check, voltage_assignment,
+                  voltage_connectedness)
+from giwa.iwasawa import (LaurentDeterminant, _certified_pullback, _degree_bound,
+                          _doubled_lambda_mod_ell, _laurent_matrix, _tower_p,
+                          lambda_mod_ell)
+from giwa.numtheory import ord_int
 from giwa.series import (binomial_coefficients, binomial_mod_ell,
                          truncated_determinant, truncated_valuation)
 
@@ -217,3 +221,122 @@ class TestTruncatedRoute:
         with pytest.raises(PrecisionError, match=r"\(cap 8, voltage precision 40\)"):
             iwasawa_invariants(t, cap=4, max_cap=8)
         assert iwasawa_invariants(t, cap=4, max_cap=16) == IwasawaData(0, 15)
+
+
+# ---------------------------------------------------------------------------
+# Pivot order: of the rows tied at the least valuation, the kernel takes the
+# one with the fewest nonzeros to the right.  Any least-valuation pivot gives
+# the same answer, so the oracle and a permuted matrix must agree.
+
+
+@st.composite
+def sparse_series_matrices(draw):
+    """(matrix, ell, cap): n up to 10 with at least half the entries zero
+    (for n >= 2), nonzero entries of valuation 0, 1 or 2 so that ties are
+    common, placed on a random permutation and then at random."""
+    ell = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(0, 10))
+    cap = draw(st.integers(0, 12))
+    perm = draw(st.permutations(range(n)))
+    cells = {(i, perm[i]) for i in range(n)}
+    extra = draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))),
+                          max_size=max(n * n // 2 - n, 0)))
+    cells.update(extra)
+
+    def entry():
+        v = draw(st.sampled_from([0, 0, 1, 2]))
+        lead = draw(st.integers(1, ell - 1))
+        tail = [draw(st.integers(-2 * ell, 2 * ell)) for _ in range(cap - v)]
+        return ([0] * v + [lead] + tail)[:cap + 1]
+
+    zero = [0] * (cap + 1)
+    matrix = [[entry() if (i, j) in cells else zero for j in range(n)] for i in range(n)]
+    return matrix, ell, cap
+
+
+@settings(max_examples=120, deadline=None)
+@given(sparse_series_matrices())
+def test_sparse_kernel_matches_berkowitz_mod_ell(case):
+    matrix, ell, cap = case
+    det = truncated_determinant(matrix, ell, cap)
+    assert truncated_valuation(matrix, ell, cap) == \
+        next((k for k, c in enumerate(det) if c), None)
+
+
+@settings(max_examples=120, deadline=None)
+@given(sparse_series_matrices(), st.randoms(use_true_random=False))
+def test_symmetric_permutation_keeps_the_valuation(case, rng):
+    matrix, ell, cap = case
+    order = list(range(len(matrix)))
+    rng.shuffle(order)
+    permuted = [[matrix[i][j] for j in order] for i in order]
+    assert truncated_valuation(permuted, ell, cap) == truncated_valuation(matrix, ell, cap)
+
+
+def test_uniform_tower_check_five_level_one():
+    # 125 vertices, D = 250 = lambda(f): the kernel runs once, at cap 250
+    report = uniform_tower_check(5, 1)
+    assert report.cover == IwasawaData(0, 249)
+    assert report.lambda_expected == 249
+    assert report.ok
+
+
+def test_ex1_along_z9_x_z9_through_the_kernel():
+    # ex1 pulled back along Z/9 x Z/9 with ex1's beta: 81 vertices, D = 3240;
+    # lambda_Y = 485 = 81 * 6 - 1, certified once the cap reaches 512
+    base = tower(bouquet(3), 3, refdata.EX1["alpha"])
+    G = product(cyclic(9), cyclic(9))
+    t = _certified_pullback(base, voltage_assignment(base.graph, G, dict(refdata.EX1["beta"])))
+    assert t.graph.vertex_count == 81
+    assert degree_bound(t) == 3240
+    assert _doubled_lambda_mod_ell(t, 64, 3240) == (486, 512)
+
+
+# ---------------------------------------------------------------------------
+# LaurentDeterminant.lambda_f reads the multiplicity of u = 1 one base-ell
+# digit at a time; the oracle is one synthetic division by (u - 1) per unit.
+
+
+def lambda_f_by_synthetic_division(coeffs, ell):
+    mu = min(ord_int(c, ell) for c in coeffs if c)
+    red = [(c // ell ** mu) % ell for c in coeffs]
+    mult = 0
+    while any(red):
+        acc = 0
+        quot = [0] * len(red)
+        for d in range(len(red) - 1, -1, -1):
+            acc = (acc + red[d]) % ell
+            quot[d] = acc
+        if acc:
+            break
+        red = quot[1:]
+        mult += 1
+    return mult
+
+
+@st.composite
+def laurent_forms(draw):
+    """(P's coefficients, ell, lambda(f)): P = ell^mu ((u - 1)^lam Q + ell R)
+    with Q(1) a unit mod ell, mu >= 1, and lam often at least ell^2."""
+    ell = draw(st.sampled_from([2, 3, 5]))
+    mu = draw(st.integers(1, 3))
+    lam = draw(st.one_of(st.integers(0, ell ** 2), st.integers(ell ** 2, ell ** 3 + ell)))
+    q = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=12))
+    if sum(q) % ell == 0:
+        q[0] += 1
+    p = q
+    for _ in range(lam):
+        p = [a - b for a, b in zip([0] + p, p + [0])]
+    r = draw(st.lists(st.integers(-9, 9), max_size=len(p) + 6))
+    p = p + [0] * (len(r) - len(p))
+    p = [ell ** mu * (a + ell * (r[i] if i < len(r) else 0)) for i, a in enumerate(p)]
+    return p, ell, lam
+
+
+@SETTINGS
+@given(laurent_forms(), st.integers(-5, 5))
+def test_lambda_f_matches_synthetic_division(case, shift):
+    coeffs, ell, lam = case
+    ld = LaurentDeterminant(coeffs=tuple(coeffs), shift=shift)
+    assert ld.mu(ell) >= 1
+    assert ld.lambda_f(ell) == lambda_f_by_synthetic_division(coeffs, ell) == lam
