@@ -32,6 +32,8 @@ from .specio import (graph_from_spec, group_from_spec, load_json, parse_element,
                      tower_from_spec, voltage_from_spec)
 from .voltage import derived_graph, voltage_assignment
 
+_parser = None       # built by main on its first call, then kept for the process
+
 
 def vertex_cap() -> int:
     raw = os.environ.get("GIWA_VERTEX_CAP")
@@ -328,8 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    _parser = _parser or build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValidationError, DisconnectedError, UnsupportedError) as exc:

@@ -12,16 +12,16 @@ about half that width.  That finite object yields mu and
 lambda exactly: mu is the minimal ell-valuation of the coefficients of P
 (the basis change between powers of u and powers of T is unimodular, and
 u^(-K) is a unit power series), and lambda(f) is the multiplicity of the
-root u = 1 of P/ell^mu over F_ell.
+root u = 1 of P/ell^mu over F_ell.  Its series is one packed Taylor shift.
 
 D - A_rho is built in one place, _laurent_matrix, as terms c u^a; the
-series routes read each term as c (1+T)^a through T^cap (_series_matrix),
-with c = psi(beta(s)) for a twisted series.  Truncated ell-adic voltages
-known mod ell^P take a Berkowitz determinant over (Z/ell^N)[T]/(T^(cap+1)),
-N = P - ord_ell(cap!), with packed-integer products
-(series.truncated_determinant) for their series.  Their mu and lambda, and
-those of the covers in uniform_tower_check, come from f mod ell instead:
-elimination over F_ell[T]/(T^(cap+1)) (series.truncated_valuation)
+matrix series routes read each term as c (1+T)^a through T^cap
+(_series_matrix), with c = psi(beta(s)) for a twisted series.  Truncated
+ell-adic voltages known mod ell^P take a Berkowitz determinant over
+(Z/ell^N)[T]/(T^(cap+1)), N = P - ord_ell(cap!), with packed-integer
+products (series.truncated_determinant) for their series.  Their mu and
+lambda, and those of the covers in uniform_tower_check, come from f mod
+ell instead: elimination over F_ell[T]/(T^(cap+1)) (series.truncated_valuation)
 certifies mu = 0 and lambda(f) once f mod ell has a nonzero coefficient
 through T^cap, with the cap doubled up to what the voltages fix.
 """
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 from types import MappingProxyType
 from typing import Mapping
 
@@ -137,12 +137,16 @@ def _level_order(t: Tower, n: int) -> int:
     """The order ell^n / gcd(ell^n, sums) of the subgroup of Z/ell^n generated
     by the voltage sums along the loops of a pi1 basis of the base; level n is
     connected iff it is ell^n.  A truncated voltage enters by its integer
-    representative, which is right for n up to its precision."""
-    mod = t.ell ** n
-    signed = {s: v if isinstance(v, int) else v.value for s, v in t.values.items()}
-    signed.update({t.graph.inv(s): -a for s, a in list(signed.items())})
-    loops = pi1_basis(t.graph, t.graph.vertices[0], t.orientation).loops
-    return mod // gcd(mod, *(sum(signed[d] for d in path) for _s, path in loops))
+    representative, which is right for n up to its precision.  The gcd of the
+    sums is taken once per tower and kept on the instance."""
+    g = getattr(t, "_loop_gcd", None)
+    if g is None:
+        signed = {s: v if isinstance(v, int) else v.value for s, v in t.values.items()}
+        signed.update({t.graph.inv(s): -a for s, a in list(signed.items())})
+        loops = pi1_basis(t.graph, t.graph.vertices[0], t.orientation).loops
+        g = gcd(*(sum(signed[d] for d in path) for _s, path in loops))
+        object.__setattr__(t, "_loop_gcd", g)
+    return t.ell ** n // gcd(t.ell ** n, g)
 
 
 def _require_level_connected(t: Tower, n: int) -> None:
@@ -197,9 +201,22 @@ class LaurentDeterminant:
     shift: int         # K
 
     def series(self, cap: int) -> TruncatedPowerSeries:
-        terms = ((d - self.shift, c) for d, c in enumerate(self.coeffs) if c)
-        return TruncatedPowerSeries(
-            _binomial_sum(terms, lambda a: binomial_coefficients(a, cap), [0] * (cap + 1)))
+        """f = P(1+T) (1+T)^(-K) through T^cap: Horner two coefficients a step,
+        then one product, on integers packed at T = X = 2^W mod X^(cap+1).  The
+        signed digits hold |f_k| <= ||P||_1 max |binom(d - K, k)| < X/2: at most
+        binom(K+cap-1, cap) for d < K, binom(h, min(cap, h//2)) for d <= deg P = K + h."""
+        h = len(self.coeffs) - 1 - self.shift
+        width = 1 + (sum(map(abs, self.coeffs)) * max(
+            comb(self.shift + cap - 1, cap) if self.shift > 0 else 0,
+            comb(h, min(cap, h // 2)) if h >= 0 else 0)).bit_length()
+        mask = (1 << width * (cap + 1)) - 1
+        even = self.coeffs + (0,) * (len(self.coeffs) % 2)
+        acc = 0
+        for c0, c1 in zip(even[-2::-2], even[::-2]):    # acc (1+X)^2 + c1 (1+X) + c0
+            acc = ((acc << 2 * width) + (acc << width + 1) + acc
+                   + ((c1 << width) + c1 + c0)) & mask
+        row = sum(b << width * k for k, b in enumerate(binomial_coefficients(-self.shift, cap)))
+        return TruncatedPowerSeries(_signed_digits(acc * row, width, cap + 1))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -292,12 +309,8 @@ def kronecker_determinant(ent: list) -> tuple:
         coeffs = [0] * lo + _palindromic_digits(det >> width * lo, shift - lo,
                                                 width, 1 << (slot - 2))
     else:
-        # P(2^B) plus half = 2^(B-1) in every digit, which puts each digit in [0, 2^B)
-        half = 1 << (slot - 1)
-        biased = (bareiss_determinant(_kronecker_matrix(ent, shifts, slot))
-                  + int(("1" + "0" * (slot - 1)) * (degbound + 1), 2))
-        bits = format(biased, f"0{slot * (degbound + 1)}b")
-        coeffs = [int(bits[k - slot:k], 2) - half for k in range(len(bits), 0, -slot)]
+        coeffs = _signed_digits(bareiss_determinant(_kronecker_matrix(ent, shifts, slot)),
+                                slot, degbound + 1)
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs), shift
@@ -307,6 +320,14 @@ def _kronecker_matrix(ent: list, shifts: list, width: int) -> list:
     """The matrix at u = 2^width, row i times u^(shifts[i])."""
     return [[sum(c << width * (e + s) for e, c in d.items()) for d in row]
             for row, s in zip(ent, shifts)]
+
+
+def _signed_digits(q: int, width: int, count: int) -> list:
+    """[c_0, ..., c_(count-1)] in [-2^(width-1), 2^(width-1)) with
+    q = sum c_k 2^(width k) mod 2^(width count), read with 2^(width-1) added to each."""
+    n = width * count
+    bits = format((q + int(("1" + "0" * (width - 1)) * count, 2)) & ((1 << n) - 1), f"0{n}b")
+    return [int(bits[k - width:k], 2) - (1 << (width - 1)) for k in range(n, 0, -width)]
 
 
 def _palindromic_digits(q: int, h: int, width: int, bound: int) -> list:

@@ -446,3 +446,48 @@ def test_malformed_element_or_edge_exits_2(tmp_path, capsys, command, spec_name,
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
     assert "Traceback" not in err
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
+    import giwa.cli as cli
+
+    def fresh(argv):
+        proc = subprocess.run([sys.executable, "-m", "giwa.cli", *argv],
+                              capture_output=True, text=True)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    built = []
+    real = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return real()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.setattr(cli, "_parser", None)
+    # the second argv lacks the example names, so argparse exits 2
+    calls = (["examples", "ex2", "--json"], ["examples"],
+             ["kida", spec_path("trivial_kida.json")], ["examples", "ex2", "--json"])
+    got = []
+    for argv in calls:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got.append((code, *capsys.readouterr()))
+    assert [g[0] for g in got] == [0, 2, 0, 0]
+    assert got == [fresh(argv) for argv in calls]
+    assert built == [1]
+
+
+def test_import_builds_no_parser():
+    probe = ("import argparse\n"
+             "made = []\n"
+             "init = argparse.ArgumentParser.__init__\n"
+             "def spy(self, *a, **k):\n"
+             "    made.append(1)\n"
+             "    init(self, *a, **k)\n"
+             "argparse.ArgumentParser.__init__ = spy\n"
+             "import giwa.cli\n"
+             "print(len(made), giwa.cli._parser)\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "0 None\n")

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -204,6 +205,30 @@ class TestTowerLevel:
     def test_61_bit_ell_has_invariants(self):
         inv = iwasawa_invariants(tower(bouquet(2), 2 ** 61 - 1, {"s1": 1, "s2": 2}))
         assert (inv.mu, inv.lam) == (0, 1)
+
+    def test_a_tower_lists_one_pi1_basis(self, monkeypatch):
+        calls = []
+        real = giwa.iwasawa.pi1_basis
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(giwa.iwasawa, "pi1_basis", counted)
+        t = ex1_tower()
+        assert certify_levels_connected(t)
+        inv = iwasawa_invariants(t)
+        assert (inv.mu, inv.lam) == (0, 5)
+        assert [row[2] for row in kappa_ord_sequence(t, 4)] == [0, 3, 8, 13, 18]
+        assert len(calls) == 1
+
+    def test_kept_gcd_gives_every_level_order(self):
+        # loop sums 6, 9 and -54 on the bouquet: gcd 3, so level n has order 3^(n-1)
+        t = tower(bouquet(3), 3, {"s1": 6, "s2": PadicTruncated(3, 4, 9),
+                                  "s3": PadicTruncated(3, 5, -54)})
+        for n in (4, 1, 3, 2):
+            assert giwa.iwasawa._level_order(t, n) == 3 ** n // gcd(3 ** n, 6, 9, -54)
+            assert giwa.iwasawa._level_order(t, n) == 3 ** (n - 1)
+            assert len(voltage_connectedness(level_assignment(t, n))[1]) == 3 ** (n - 1)
 
 
 class TestTowerCaches:
