@@ -14,7 +14,7 @@ from .groups import (FiniteGroup, GroupHom, cyclic, dihedral_8, hom, product,
 from .voltage import (CoverMap, DerivedGraph, VoltageAssignment,
                       component_degrees, cover_degree, deck_transformations,
                       derived_graph, identity_cover, is_cover, is_galois,
-                      pullback, pullback_voltage, quotient_cover,
+                      permutation_cover, pullback, pullback_voltage, quotient_cover,
                       verify_combined_iso, voltage_assignment,
                       voltage_connectedness)
 from .cyclotomic import CyclotomicElement, cyclotomic_polynomial, euler_phi, t_psi, zeta

@@ -721,7 +721,8 @@ def kida_verify(t: Tower, beta_by_edge_id: Mapping, group: FiniteGroup) -> KidaR
     lifted = _certified_pullback(
         t, voltage_assignment(t.graph, group, beta_by_edge_id, t.orientation))
     base_inv = iwasawa_invariants(t)
-    cover_inv = iwasawa_invariants(lifted)
+    # lambda(f_Y) = |G| lambda(f_X) when Kida's identity holds: a truncated kernel starts there
+    cover_inv = iwasawa_invariants(lifted, max(DEFAULT_CAP, group.order * (base_inv.lam + 1)))
     checked = True if base_inv.mu == 0 else None
     holds = checked and cover_inv.lam + 1 == group.order * (base_inv.lam + 1)
     return KidaReport(degree=group.order, base=base_inv, cover=cover_inv,

@@ -1,17 +1,17 @@
 """Derived graphs from voltage assignments, covers, Galois covers, pullbacks.
 
 A voltage assignment maps an orientation S into a finite group G and extends
-to all directed edges by alpha(s-bar) = alpha(s)^(-1).  The derived graph has
-vertex set V x G and one undirected edge per (s, sigma); the edge (e, sigma)
-runs from (o(e), sigma) to (t(e), sigma * alpha(e)).  Projection onto the
-base is a cover, and the derived graph is connected exactly when the voltage
-images of a fundamental-group basis generate G.
+to all directed edges by alpha(s-bar) = alpha(s)^(-1).  Derived graphs, their
+quotients and combined covers are laid out by permutation_cover: vertices
+(v, x) for x in a point set F, one edge (e, x) from (o(e), x) to (t(e), act(e, x)).
+The derived graph takes F = G and act(e, sigma) = sigma * alpha(e); it is
+connected exactly when the voltage images of a fundamental-group basis generate G.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 from .errors import DisconnectedError, ValidationError
 from .graphs import (Multigraph, Orientation, build_multigraph, components,
@@ -108,26 +108,28 @@ class DerivedGraph:
     assignment: VoltageAssignment
 
 
-def derived_graph(va: VoltageAssignment) -> DerivedGraph:
-    """Construct X(G, S, alpha) with vertices (v, sigma) and the projection."""
-    base = va.graph
-    G = va.group
-    verts = [(v, sigma) for v in base.vertices for sigma in G.elements]
-    edges = []
-    along = {}              # base edge id -> the orientation edge carrying it
-    for s in va.orientation:
-        u_id = base.vertices[base.origin[s]]
-        v_id = base.vertices[base.terminus[s]]
-        a = va.values[s]
-        eid = base.edge_ids[s >> 1]
+def permutation_cover(graph: Multigraph, orientation: Orientation, points: Sequence,
+                      act: Callable) -> CoverMap:
+    """Gross and Tucker's permutation voltages: vertices (v, x) for x in points, and an
+    edge (eid, x) from (v, x) to (w, act(s, x)) per orientation edge s of eid, v to w."""
+    edges, along = [], {}   # along: base edge id -> the orientation edge carrying it
+    for s in orientation:
+        images = [act(s, x) for x in points]
+        if set(images) != set(points):
+            raise ValidationError(f"act({graph.edge_label(s)}, .) does not permute the points")
+        eid = graph.edge_ids[s >> 1]
         along[eid] = s
-        for sigma in G.elements:
-            tau = G.multiply(sigma, a)
-            edges.append(((u_id, sigma), (v_id, tau), (eid, sigma)))
-    graph = build_multigraph(verts, edges)
-    return DerivedGraph(graph=graph, assignment=va,
-                        projection=_label_cover(graph, base, lambda v: v[0],
-                                                lambda e: along[e[0]]))
+        v, w = graph.vertices[graph.origin[s]], graph.vertices[graph.terminus[s]]
+        edges.extend(((v, x), (w, y), (eid, x)) for x, y in zip(points, images))
+    cover = build_multigraph([(v, x) for v in graph.vertices for x in points], edges)
+    return _label_cover(cover, graph, lambda v: v[0], lambda e: along[e[0]])
+
+
+def derived_graph(va: VoltageAssignment) -> DerivedGraph:
+    """X(G, S, alpha) and its projection: G permuted by sigma -> sigma * alpha(s)."""
+    p = permutation_cover(va.graph, va.orientation, va.group.elements,
+                          lambda s, sigma: va.group.multiply(sigma, va.values[s]))
+    return DerivedGraph(graph=p.source, projection=p, assignment=va)
 
 
 def voltage_connectedness(va: VoltageAssignment) -> tuple:
@@ -349,8 +351,7 @@ def pullback_voltage(p: CoverMap, base_orientation: Orientation,
 def combined_voltage(va_beta: VoltageAssignment, va_alpha: VoltageAssignment,
                      product_group: FiniteGroup) -> VoltageAssignment:
     """The assignment s -> (beta(s), alpha(s)) into the direct product."""
-    if va_beta.graph is not va_alpha.graph or \
-            va_beta.orientation.edges != va_alpha.orientation.edges:
+    if (va_beta.graph, va_beta.orientation) != (va_alpha.graph, va_alpha.orientation):
         raise ValidationError("combined voltages need one graph and one orientation")
     values = {d: (va_beta.values[d], va_alpha.values[d])
               for d in va_beta.orientation}
@@ -365,15 +366,17 @@ def verify_combined_iso(va_beta: VoltageAssignment, va_alpha: VoltageAssignment)
     (v, (s2, s1)) <-> ((v, s2), s1); the relabeling must match vertices,
     edges, incidence and involution, and commute with the projections.
     """
-    from .groups import product as group_product
-
+    if (va_beta.graph, va_beta.orientation) != (va_alpha.graph, va_alpha.orientation):
+        raise ValidationError("combined voltages need one graph and one orientation")
     for va in (va_beta, va_alpha):
         ok, _ = voltage_connectedness(va)
         if not ok:
             raise DisconnectedError("both intermediate derived graphs must be connected")
     G2, G1 = va_beta.group, va_alpha.group
-    combined = derived_graph(combined_voltage(va_beta, va_alpha,
-                                              group_product(G2, G1)))
+    combined = permutation_cover(
+        va_beta.graph, va_beta.orientation, [(a, b) for a in G2.elements for b in G1.elements],
+        lambda s, x: (G2.multiply(x[0], va_beta.values[s]),
+                      G1.multiply(x[1], va_alpha.values[s])))
     upstairs = derived_graph(va_beta)
     lifted = pullback_voltage(upstairs.projection, va_alpha.orientation,
                               va_alpha.values, G1)
@@ -383,13 +386,13 @@ def verify_combined_iso(va_beta: VoltageAssignment, va_alpha: VoltageAssignment)
         return ((x[0], x[1][0]), x[1][1])
 
     try:
-        iso = _label_cover(combined.graph, big.graph, relabel,
+        iso = _label_cover(combined.source, big.graph, relabel,
                            lambda e: 2 * big.graph.edge_index(relabel(e)))
     except ValidationError:
         return False
     if len(set(iso.vertex_map)) != big.graph.vertex_count or \
             len(set(iso.edge_map)) != big.graph.directed_edge_count:
         return False
-    down, up = combined.projection.edge_map, upstairs.projection.edge_map
+    down, up = combined.edge_map, upstairs.projection.edge_map
     return all(down[d] == up[big.projection.edge_map[img]]
                for d, img in enumerate(iso.edge_map))

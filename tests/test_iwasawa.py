@@ -871,3 +871,27 @@ def test_kida_on_wide_ex1_voltage():
     assert (report.base.mu, report.base.lam) == (0, 5)
     assert (report.cover.mu, report.cover.lam) == (0, 53)
     assert report.ok
+
+
+@pytest.mark.parametrize("group, beta", [
+    (cyclic(27), {"s1": 1, "s2": 3, "s3": 9}),
+    (product(cyclic(9), cyclic(9)), refdata.EX1["beta"]),
+], ids=["Z27", "Z9xZ9"])
+def test_kida_runs_one_mod_ell_kernel_per_truncated_tower(monkeypatch, group, beta):
+    # ex1's voltages known mod 3^12: the cover's kernel starts at cap
+    # |G| lambda(f_X), which is lambda(f_Y) when Kida's identity holds, so no
+    # smaller cap is tried and refused first
+    kernel, caps = giwa.iwasawa.lambda_mod_ell, []
+
+    def counting(t, cap):
+        caps.append((t.graph.vertex_count, cap))
+        return kernel(t, cap)
+    monkeypatch.setattr(giwa.iwasawa, "lambda_mod_ell", counting)
+    t = tower(bouquet(3), 3, {eid: PadicTruncated(3, 12, v)
+                              for eid, v in refdata.EX1["alpha"].items()})
+    report = kida_verify(t, beta, group)
+    assert report.ok and (report.base.lam, report.cover.lam) == (5, 6 * group.order - 1)
+    assert caps == [(1, 64), (group.order, 6 * group.order)]
+    # the cap doubled from 64 reaches the same answer
+    va = voltage_assignment(t.graph, group, beta, t.orientation)
+    assert iwasawa_invariants(_certified_pullback(t, va)) == report.cover

@@ -3,6 +3,8 @@ import random
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+import giwa.voltage
+
 from giwa import (DisconnectedError, Tower, ValidationError, bouquet,
                   build_multigraph, characteristic_series, components,
                   cover_degree, cyclic, deck_transformations, derived_graph,
@@ -612,15 +614,11 @@ class TestOrientationDefects:
 # -- deck transformations and the Galois test, against the orbit reference ---
 
 def permutation_cover(perms):
-    """The permutation-voltage cover of bouquet(len(perms)): vertex i over the
-    one base vertex, and loop s_j lifted to edges i -> perms[j][i]."""
+    """The permutation-voltage cover of bouquet(len(perms)): loop s_j lifted to
+    edges i -> perms[j][i]."""
     X = bouquet(len(perms))
-    points = range(len(perms[0]))
-    edges = [(i, p[i], (j, i)) for j, p in enumerate(perms) for i in points]
-    Y = build_multigraph(list(points), edges)
-    emap = [d for j, _p in enumerate(perms) for _i in points for d in (2 * j, 2 * j + 1)]
-    return CoverMap(source=Y, target=X, vertex_map=(0,) * Y.vertex_count,
-                    edge_map=tuple(emap))
+    return giwa.voltage.permutation_cover(X, X.default_orientation(), range(len(perms[0])),
+                                          lambda s, i: perms[s >> 1][i])
 
 
 @pytest.mark.parametrize("perms, galois, deck_count", [
