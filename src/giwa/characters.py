@@ -30,6 +30,12 @@ class Character:
         if self.conductor % lcm(1, *orders) != 0:
             raise ValidationError("conductor must be divisible by the group exponent")
 
+    def require_group(self, group: FiniteGroup) -> None:
+        """ValidationError unless group has these cyclic factors (groups hold closures)."""
+        if _factor_orders(group) != _factor_orders(self.group):
+            raise ValidationError(f"character of factors {_factor_orders(self.group)} "
+                                  f"used on factors {_factor_orders(group)}")
+
     def value_exponent(self, element) -> int:
         """The power of zeta_R representing psi(element)."""
         orders = _factor_orders(self.group)

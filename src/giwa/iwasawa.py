@@ -14,12 +14,13 @@ lambda exactly: mu is the minimal ell-valuation of the coefficients of P
 u^(-K) is a unit power series), and lambda(f) is the multiplicity of the
 root u = 1 of P/ell^mu over F_ell.  Its series is one packed Taylor shift.
 
-D - A_rho is built in one place, _laurent_matrix, as terms c u^a; the
-matrix series routes read each term as c (1+T)^a through T^cap
-(_series_matrix), with c = psi(beta(s)) for a twisted series.  Truncated
-ell-adic voltages known mod ell^P take a Berkowitz determinant over
-(Z/ell^N)[T]/(T^(cap+1)), N = P - ord_ell(cap!), with packed-integer
-products (series.truncated_determinant) for their series.  Their mu and
+D - A_rho is built in one place, _laurent_matrix, as terms c u^a.  A twisted
+series, c = psi(beta(s)) in Z[zeta_m], is P_psi / u^K from one Kronecker
+determinant with zeta_m a second variable (cyclotomic_determinant).  The
+truncated routes read c u^a as c (1+T)^a (_series_matrix): voltages known
+mod ell^P take a Berkowitz determinant over (Z/ell^N)[T]/(T^(cap+1)),
+N = P - ord_ell(cap!), with packed-integer products
+(series.truncated_determinant) for their series.  Their mu and
 lambda, and those of the covers in uniform_tower_check, come from f mod
 ell instead: elimination over F_ell[T]/(T^(cap+1)) (series.truncated_valuation)
 certifies mu = 0 and lambda(f) once f mod ell has a nonzero coefficient
@@ -35,7 +36,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .characters import Character, all_characters
-from .cyclotomic import CyclotomicElement, as_integer
+from .cyclotomic import CyclotomicElement, as_integer, euler_phi
 from .errors import (DisconnectedError, GiwaError, PrecisionError,
                      ResourceLimitError, UnsupportedError, ValidationError)
 from .graphs import (Multigraph, Orientation, bareiss_determinant,
@@ -44,8 +45,8 @@ from .graphs import (Multigraph, Orientation, bareiss_determinant,
 from .groups import FiniteGroup, cyclic
 from .numtheory import factor_integer, is_prime, ord_int, prime_power_exponent
 from .series import (PadicTruncated, TruncatedPowerSeries, binomial_coefficients,
-                     binomial_digits, binomial_mod_ell, ring_determinant,
-                     truncated_determinant, truncated_valuation)
+                     binomial_digits, binomial_mod_ell, truncated_determinant,
+                     truncated_valuation)
 from .voltage import (CoverMap, DerivedGraph, VoltageAssignment, derived_graph,
                       lift_voltages, voltage_assignment, voltage_connectedness)
 
@@ -316,6 +317,23 @@ def kronecker_determinant(ent: list) -> tuple:
     return tuple(coeffs), shift
 
 
+def cyclotomic_determinant(ent: list, m: int) -> tuple:
+    """(P's coefficients in Z[zeta_m], K), det(ent) = P(u) / u^K, for Laurent
+    polynomials {exponent: int or CyclotomicElement} in u.  zeta_m is a second
+    variable x: with each row polynomial in u (_degree_bound), u^a x^e is
+    y^(a w + e), w = g (phi(m) - 1) + 1, and one Kronecker determinant in y, of
+    x-degree below w, gives P's u-coefficients in blocks of w, reduced mod Phi_m."""
+    shifts, _ = _degree_bound(ent)
+    w = len(ent) * (euler_phi(m) - 1) + 1
+    digits, k_y = kronecker_determinant(
+        [[{(a + s) * w + e: c for a, x in d.items()
+           for e, c in enumerate(x.coords if isinstance(x, CyclotomicElement) else (x,)) if c}
+          for d in row] for row, s in zip(ent, shifts)])
+    digits = (0,) * -k_y + digits     # a row whose least y-power is above 0 gives K_y < 0
+    return (tuple(CyclotomicElement(m, digits[k:k + w]) for k in range(0, len(digits), w)),
+            sum(shifts))
+
+
 def _kronecker_matrix(ent: list, shifts: list, width: int) -> list:
     """The matrix at u = 2^width, row i times u^(shifts[i])."""
     return [[sum(c << width * (e + s) for e, c in d.items()) for d in row]
@@ -390,11 +408,6 @@ def _tower_p(t: Tower) -> LaurentDeterminant:
     return got
 
 
-def _assert_vanishes_at_origin(ld: LaurentDeterminant) -> None:
-    # the constant term of f is P(1), which is det of a Laplacian, hence 0
-    assert sum(ld.coeffs) == 0, "characteristic series must vanish at T = 0"
-
-
 def characteristic_series(t: Tower, cap: int = DEFAULT_CAP) -> TruncatedPowerSeries:
     """f(T) = det(D - A_rho) through degree cap.
 
@@ -406,8 +419,8 @@ def characteristic_series(t: Tower, cap: int = DEFAULT_CAP) -> TruncatedPowerSer
         raise ValidationError("cap must be >= 0")
     if t.exact:
         ld = _tower_p(t)
-        if not ld.is_zero():
-            _assert_vanishes_at_origin(ld)
+        # the constant term of f is P(1), which is det of a Laplacian, hence 0
+        assert sum(ld.coeffs) == 0, "characteristic series must vanish at T = 0"
         return ld.series(cap)
     return _padic_characteristic_series(t, cap)
 
@@ -422,26 +435,24 @@ def _voltage_precision(t: Tower) -> int | None:
 def _binomial_sum(terms, entry, zero: list) -> list:
     """The coefficients of sum c (1+T)^a over the terms (a, c), with entry(a)
     those of (1+T)^a and zero the list of as many zeros, returned when there
-    are no terms.  Zero coefficients of entry(a) are skipped, so they stay
-    integers."""
+    are no terms.  Zero coefficients of entry(a) are skipped."""
     out = zero
     for a, c in terms:
         out = [x + c * y if y else x for x, y in zip(out, entry(a))]
     return out
 
 
-def _series_matrix(t: Tower, cap: int, entry, weight=None) -> list:
+def _series_matrix(t: Tower, cap: int, entry) -> list:
     """D - A_rho through T^cap, each entry a list of cap + 1 coefficients.
 
-    Each term c u^a of _laurent_matrix(t, t.values, weight) becomes c times
-    entry(a), the coefficients of (1+T)^a for an integer a, computed once per
-    exponent (_binomial_sum); the entries of D - A_rho that stay zero share
-    one list.
+    Each term c u^a of _laurent_matrix(t, t.values) becomes c times entry(a),
+    the coefficients of (1+T)^a for an integer a, computed once per exponent
+    (_binomial_sum); the entries of D - A_rho that stay zero share one list.
     """
     entry = lru_cache(maxsize=None)(entry)
     zero = [0] * (cap + 1)
     return [[_binomial_sum(terms.items(), entry, zero) for terms in row]
-            for row in _laurent_matrix(t, t.values, weight)]
+            for row in _laurent_matrix(t, t.values)]
 
 
 def _padic_characteristic_series(t: Tower, cap: int) -> TruncatedPowerSeries:
@@ -741,9 +752,12 @@ def twisted_characteristic_series(t: Tower, va_beta: VoltageAssignment,
 
     Coefficients are CyclotomicElements of psi's ring, also for the trivial
     character, where they equal the plain series' (see cyclotomic.as_integer).
+    f_psi = P_psi(1+T) / (1+T)^K, with P_psi from cyclotomic_determinant and
+    one LaurentDeterminant.series per power-basis coordinate.
     """
-    if va_beta.group.cyclic_factor_orders is None:
-        raise UnsupportedError("twisted series need a declared abelian group")
+    if cap < 0:
+        raise ValidationError("cap must be >= 0")
+    psi.require_group(va_beta.group)       # UnsupportedError for a group without characters
     if va_beta.graph is not t.graph:
         raise ValidationError("beta must live on the tower base")
     if not t.exact:
@@ -753,8 +767,10 @@ def twisted_characteristic_series(t: Tower, va_beta: VoltageAssignment,
         b = va_beta.values[s]
         return psi(b), psi.value_at_inverse(b)
 
-    M = _series_matrix(t, cap, lambda a: binomial_coefficients(a, cap), weight)
-    return ring_determinant([[TruncatedPowerSeries(e) for e in row] for row in M])
+    coeffs, shift = cyclotomic_determinant(_laurent_matrix(t, t.values, weight), psi.conductor)
+    parts = [LaurentDeterminant(tuple(c.coords[j] for c in coeffs), shift).series(cap).coeffs
+             for j in range(euler_phi(psi.conductor))]
+    return TruncatedPowerSeries([CyclotomicElement(psi.conductor, col) for col in zip(*parts)])
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ L-function of an abelian cover; the trivial character gives the reciprocal
 Ihara zeta function up to the factor (1 - u^2)^(-chi).  The identities
 checked here are exact: the Artin product decomposition, Hashimoto's
 derivative formula h'(1) = -2 chi kappa, and the class number formula.
-Every h-polynomial, over Z or Z[zeta], is one Kronecker-substituted Bareiss
-determinant, the kernel that also gives a tower's P (see h_polynomial).
+Every h-polynomial, like every twisted series f_psi, is one Kronecker
+determinant with zeta_m as a second variable (iwasawa.cyclotomic_determinant).
 """
 
 from __future__ import annotations
@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .characters import Character, all_characters
-from .cyclotomic import CyclotomicElement, as_integer, euler_phi
+from .cyclotomic import CyclotomicElement, as_integer
 from .errors import DisconnectedError, UnsupportedError, ValidationError
 from .graphs import (Multigraph, euler_characteristic,
                      is_connected, matrices, spanning_tree_count)
-from .iwasawa import kronecker_determinant
+from .iwasawa import cyclotomic_determinant
 from .polys import Poly
 from .voltage import VoltageAssignment, derived_graph
 
@@ -31,8 +31,7 @@ def twisted_adjacency(va: VoltageAssignment, psi: Character) -> list:
     terms to its diagonal entry.  Trivial psi yields the ordinary adjacency
     matrix (as integers).
     """
-    if va.group.cyclic_factor_orders is None:
-        raise UnsupportedError("twisted adjacency requires a declared abelian group")
+    psi.require_group(va.group)       # UnsupportedError for a group without characters
     g = va.graph.vertex_count
     if psi.is_trivial:
         _, A, _ = matrices(va.graph)
@@ -48,12 +47,9 @@ def twisted_adjacency(va: VoltageAssignment, psi: Character) -> list:
 
 
 def h_polynomial(D: list, A: list) -> Poly:
-    """det(I - A u + (D - I) u^2) as an exact polynomial in u.
-
-    zeta_m is read as a second variable x (m = 1 for integer A): u^k x^e
-    becomes y^(k w + e), w = g (phi(m) - 1) + 1, and one Kronecker determinant
-    in y (iwasawa.kronecker_determinant) has x-degree below w, so its
-    coefficients in blocks of w are the u-coefficients, reduced mod Phi_m.
+    """det(I - A u + (D - I) u^2) as an exact polynomial in u: one Kronecker
+    determinant with zeta_m as a second variable (iwasawa.cyclotomic_determinant),
+    m the conductor of A's entries, m = 1 for integer A.
     """
     g = len(D)
     if any(len(row) != g for row in D) or len(A) != g or any(len(r) != g for r in A):
@@ -64,18 +60,10 @@ def h_polynomial(D: list, A: list) -> Poly:
     if len(conductors) > 1:
         raise ValidationError(f"mixed cyclotomic conductors {sorted(conductors)}")
     m = conductors.pop() if conductors else 1
-    w = g * (euler_phi(m) - 1) + 1
-    ent = [[{0: 1} if i == j else {} for j in range(g)] for i in range(g)]
-    for i in range(g):
-        for j in range(g):
-            for k, x in ((1, -A[i][j]), (2, D[i][j] - (i == j))):
-                for e, c in enumerate(x.coords if isinstance(x, CyclotomicElement) else [x]):
-                    if c:
-                        ent[i][j][k * w + e] = c
-    coeffs, _ = kronecker_determinant(ent)     # K = 0: every row holds y^0
-    if m == 1:
-        return Poly(coeffs)
-    return Poly([CyclotomicElement(m, coeffs[k:k + w]) for k in range(0, len(coeffs), w)])
+    coeffs, _ = cyclotomic_determinant(      # K = 0: every row holds u^0
+        [[{0: int(i == j), 1: -A[i][j], 2: D[i][j] - (i == j)} for j in range(g)]
+         for i in range(g)], m)
+    return Poly([c.coords[0] for c in coeffs] if m == 1 else coeffs)
 
 
 def h_of_graph(graph: Multigraph) -> Poly:
