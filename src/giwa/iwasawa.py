@@ -17,14 +17,16 @@ root u = 1 of P/ell^mu over F_ell.  Its series is one packed Taylor shift.
 D - A_rho is built in one place, _laurent_matrix, as terms c u^a.  A twisted
 series, c = psi(beta(s)) in Z[zeta_m], is P_psi / u^K from one Kronecker
 determinant with zeta_m a second variable (cyclotomic_determinant).  The
-truncated routes read c u^a as c (1+T)^a (_series_matrix): voltages known
-mod ell^P take a Berkowitz determinant over (Z/ell^N)[T]/(T^(cap+1)),
-N = P - ord_ell(cap!), with packed-integer products
-(series.truncated_determinant) for their series.  Their mu and
-lambda, and those of the covers in uniform_tower_check, come from f mod
-ell instead: elimination over F_ell[T]/(T^(cap+1)) (series.truncated_valuation)
-certifies mu = 0 and lambda(f) once f mod ell has a nonzero coefficient
-through T^cap, with the cap doubled up to what the voltages fix.
+factorization identity of a degree-ell cover multiplies the base's P by the
+norm of one P_psi, its ell - 1 conjugates packed into one element
+(kronecker_norm).  The truncated routes read c u^a as c (1+T)^a
+(_series_matrix): voltages known mod ell^P take a Berkowitz determinant over
+(Z/ell^N)[T]/(T^(cap+1)), N = P - ord_ell(cap!), with packed-integer products
+(series.truncated_determinant) for their series.  Their mu and lambda, and
+those of the covers in uniform_tower_check, come from f mod ell instead:
+elimination over F_ell[T]/(T^(cap+1)) (series.truncated_valuation) certifies
+mu = 0 and lambda(f) once f mod ell has a nonzero coefficient through T^cap,
+with the cap doubled up to what the voltages fix.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from math import comb, gcd, isqrt
 from types import MappingProxyType
 from typing import Mapping
 
-from .characters import Character, all_characters
-from .cyclotomic import CyclotomicElement, as_integer, euler_phi
+from .characters import Character
+from .cyclotomic import CyclotomicElement, _poly_mul, euler_phi
 from .errors import (DisconnectedError, GiwaError, PrecisionError,
                      ResourceLimitError, UnsupportedError, ValidationError)
 from .graphs import (Multigraph, Orientation, bareiss_determinant,
@@ -332,6 +334,19 @@ def cyclotomic_determinant(ent: list, m: int) -> tuple:
     digits = (0,) * -k_y + digits     # a row whose least y-power is above 0 gives K_y < 0
     return (tuple(CyclotomicElement(m, digits[k:k + w]) for k in range(0, len(digits), w)),
             sum(shifts))
+
+
+def kronecker_norm(coeffs, m: int) -> tuple:
+    """The norm from Q(zeta_m) to Q of sum c_k u^k, c_k an int or in Z[zeta_m],
+    as phi(m) deg + 1 integer coefficients: one norm() of the element with each
+    power-basis coordinate packed at u = 2^w.  A conjugate's coefficients are
+    bounded by ||c_k||_1, so the norm's by S^phi(m) < 2^(w-2), S = sum ||c_k||_1."""
+    phi = euler_phi(m)
+    els = [c.coords if isinstance(c, CyclotomicElement) else (c,) for c in coeffs]
+    w = (sum(sum(map(abs, x)) for x in els) ** phi).bit_length() + 2
+    packed = CyclotomicElement(m, [sum(x[j] << w * k for k, x in enumerate(els) if j < len(x))
+                                   for j in range(phi)])
+    return tuple(_signed_digits(packed.norm(), w, phi * (len(els) - 1) + 1))
 
 
 def _kronecker_matrix(ent: list, shifts: list, width: int) -> list:
@@ -762,15 +777,19 @@ def twisted_characteristic_series(t: Tower, va_beta: VoltageAssignment,
         raise ValidationError("beta must live on the tower base")
     if not t.exact:
         raise UnsupportedError("twisted series require exact integer voltages")
+    coeffs, shift = _twisted_p(t, va_beta, psi)
+    parts = [LaurentDeterminant(tuple(c.coords[j] for c in coeffs), shift).series(cap).coeffs
+             for j in range(euler_phi(psi.conductor))]
+    return TruncatedPowerSeries([CyclotomicElement(psi.conductor, col) for col in zip(*parts)])
 
+
+def _twisted_p(t: Tower, va_beta: VoltageAssignment, psi: Character) -> tuple:
+    """(P_psi's coefficients in Z[zeta_m], K): D - A_rho with psi o beta weights."""
     def weight(s):
         b = va_beta.values[s]
         return psi(b), psi.value_at_inverse(b)
 
-    coeffs, shift = cyclotomic_determinant(_laurent_matrix(t, t.values, weight), psi.conductor)
-    parts = [LaurentDeterminant(tuple(c.coords[j] for c in coeffs), shift).series(cap).coeffs
-             for j in range(euler_phi(psi.conductor))]
-    return TruncatedPowerSeries([CyclotomicElement(psi.conductor, col) for col in zip(*parts)])
+    return cyclotomic_determinant(_laurent_matrix(t, t.values, weight), psi.conductor)
 
 
 @dataclass(frozen=True)
@@ -786,17 +805,22 @@ def factorization_check(t: Tower, beta_by_edge_id: Mapping,
     """f_(Y, alpha o p) = prod over all characters psi of f_psi, coefficient-exact.
 
     Restricted to cyclic covers of degree ell, the reduction step the
-    lambda identity rests on.  The product is computed in Z[zeta_ell] and
-    must collapse to rational integers.
+    lambda identity rests on.  The ell - 1 nontrivial characters are the
+    conjugates of one generator psi_1, so the product is P_X N(P_psi_1) /
+    u^(K_X + (ell-1) K_psi_1) over the integers: the base's cached P, one
+    cyclotomic_determinant and one kronecker_norm, read through cap by one
+    packed Taylor shift.
     """
     va_beta = voltage_assignment(t.graph, cyclic(t.ell), beta_by_edge_id, t.orientation)
     lifted = _certified_pullback(t, va_beta)
     lhs = characteristic_series(lifted, cap)
-    rhs = TruncatedPowerSeries.one(cap)
-    for psi in all_characters(va_beta.group):
-        rhs = rhs * twisted_characteristic_series(t, va_beta, psi, cap)
-    rhs_int = TruncatedPowerSeries([as_integer(c) for c in rhs.coeffs])
-    return FactorizationReport(cap=cap, passed=lhs == rhs_int, lhs=lhs, rhs=rhs_int)
+    if not t.exact:
+        raise UnsupportedError("twisted series require exact integer voltages")
+    coeffs, shift = _twisted_p(t, va_beta, Character(va_beta.group, (1,), t.ell))
+    p_x = _tower_p(t)
+    rhs = LaurentDeterminant(tuple(_poly_mul(p_x.coeffs, kronecker_norm(coeffs, t.ell))),
+                             p_x.shift + (t.ell - 1) * shift).series(cap)
+    return FactorizationReport(cap=cap, passed=lhs == rhs, lhs=lhs, rhs=rhs)
 
 
 # ---------------------------------------------------------------------------
