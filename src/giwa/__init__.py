@@ -31,6 +31,6 @@ from .iwasawa import (IwasawaData, KidaReport, NotStabilizedError, Tower,
                       factorization_check, fit_iwasawa, iwasawa_invariants,
                       kappa_ord_sequence, kida_verify, lift_tower, tower,
                       tower_level, twisted_characteristic_series,
-                      uniform_tower_check)
+                      uniform_tower_check, with_growth_constant)
 
 __version__ = "0.1.0"

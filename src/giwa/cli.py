@@ -21,11 +21,10 @@ from . import refdata
 from .errors import (DisconnectedError, GiwaError, PrecisionError,
                      ResourceLimitError, UnsupportedError, ValidationError)
 from .graphs import bouquet, euler_characteristic, is_connected
-from .iwasawa import (DEFAULT_VERTEX_CAP, NotStabilizedError,
-                      characteristic_series, decimal_string, fit_iwasawa,
-                      format_factorization, iwasawa_invariants,
+from .iwasawa import (DEFAULT_VERTEX_CAP, characteristic_series, decimal_string,
+                      fit_iwasawa, format_factorization, iwasawa_invariants,
                       kappa_ord_sequence, kida_verify, lift_tower, tower,
-                      uniform_tower_check)
+                      uniform_tower_check, with_growth_constant)
 from .lfunctions import (artin_product_check, class_number_check, hashimoto_check,
                          ihara_zeta_inverse)
 from .specio import (graph_from_spec, group_from_spec, load_json, parse_element,
@@ -81,19 +80,12 @@ class Diff:
 
 def cmd_invariants(args) -> int:
     t, _va_beta, levels = tower_from_spec(load_json(args.spec))
-    if args.levels is not None:
-        levels = args.levels
-    if levels is None:
-        levels = 3
+    levels = next(n for n in (args.levels, levels, 3) if n is not None)
     inv = iwasawa_invariants(t, cap=args.cap)
     seq = kappa_ord_sequence(t, levels, factor=args.factor,
                              vertex_cap=vertex_cap())
-    fit = None
     if levels >= 2:
-        try:
-            fit = fit_iwasawa([row[2] for row in seq], 0, t.ell)
-        except NotStabilizedError:
-            fit = None
+        inv = with_growth_constant(inv, [row[2] for row in seq], t.ell)
     rows = []
     for n, kappa, ordk, fac in seq:
         row = {"n": n, "vertices": t.graph.vertex_count * t.ell ** n,
@@ -101,13 +93,10 @@ def cmd_invariants(args) -> int:
         if fac is not None:
             row["factorization"] = format_factorization(fac)
         rows.append(row)
-    summary = f"mu={inv.mu} lambda={inv.lam}"
-    if fit is not None:
-        summary += f" nu={fit[2]} (n>={fit[3]})"
     payload = {"invariants": {"mu": inv.mu, "lambda": inv.lam},
-               "fit": None if fit is None else
-               {"mu": fit[0], "lambda": fit[1], "nu": fit[2], "n0": fit[3]},
-               "levels": rows, "summary": summary}
+               "fit": None if inv.nu is None else
+               {"mu": inv.mu, "lambda": inv.lam, "nu": inv.nu, "n0": inv.n0},
+               "levels": rows, "summary": str(inv)}
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -118,11 +107,7 @@ def cmd_invariants(args) -> int:
             extra = f"  = {row['factorization']}" if "factorization" in row else ""
             print(f"{row['n']:>3} {row['vertices']:>7} {row['ord']:>5}  "
                   f"{row['kappa']}{extra}")
-        print(summary)
-    if fit is not None and (fit[0] != inv.mu or fit[1] != inv.lam):
-        print("warning: fitted (mu, lambda) disagree with the series invariants",
-              file=sys.stderr)
-        return 1
+        print(inv)
     return 0
 
 

@@ -639,9 +639,31 @@ def decimal_string(n: int) -> str:
     return decimal_string(high) + decimal_string(low).zfill(k)
 
 
+def with_growth_constant(inv: IwasawaData, ords: list, ell: int) -> IwasawaData:
+    """inv with nu and n0 read off ords = [ord kappa_0, ..., ord kappa_top].
+
+    From level K on, K the least n with phi(ell^n) > lambda(f), f at
+    zeta_(ell^n) - 1 takes its valuation at T^lambda(f) alone, so the class
+    number formula steps ord kappa_n by mu phi(ell^n) + lambda, and ord kappa_n
+    = mu ell^n + lambda n + nu from K - 1.  nu is read once top >= K - 1, and
+    n0 is the least level from which every ord is on that line; an ord past
+    K - 1 off it is a GiwaError.  Below K - 1 no nu is claimed.
+    """
+    k = next(n for n in range(1, inv.lam + 3) if ell ** (n - 1) * (ell - 1) > inv.lam + 1)
+    if len(ords) < k:
+        return inv
+    gap = [o - inv.mu * ell ** n - inv.lam * n for n, o in enumerate(ords)]   # nu on the line
+    n0 = max((n + 1 for n, g in enumerate(gap) if g != gap[-1]), default=0)
+    if n0 > k - 1:
+        raise GiwaError(f"ord kappa_{k - 1}..{len(ords) - 1} lie on no line with {inv}")
+    return IwasawaData(inv.mu, inv.lam, gap[-1], n0)
+
+
 def fit_iwasawa(ords: list, start_n: int, ell: int) -> tuple:
     """Fit ord(kappa_n) = mu ell^n + lambda n + nu on the largest suffix.
 
+    A fit, not a certificate (`giwa invariants` reads nu off
+    with_growth_constant); it checks the frozen rows of `giwa examples`.
     Values must be consecutive in n starting at start_n.  mu is forced by
     second differences and must be a nonnegative integer, lambda and nu
     integers; at least three points must fit.  Returns (mu, lambda, nu, n0).
@@ -875,16 +897,14 @@ def uniform_tower_check(ell: int, level: int, explicit_m: int = 2,
     for m in range(2, explicit_m + 1):
         _require_level_connected(lifted, m)
 
-    # f mod ell = P(1+T) / (1+T)^K mod ell, and deg P <= D, so f mod ell has a
-    # nonzero coefficient through T^D unless it is 0; only then (mu > 0, or
-    # f = 0) is the exact P built.  The kernel runs at cap D at once: the
-    # cover's lambda(f) is D itself whenever the check holds, and a smaller
-    # cap would only be doubled up to it
-    _, degree = _degree_bound(_laurent_matrix(lifted, lifted.values))
-    lam_f = lambda_mod_ell(lifted, degree)
+    # the kernel runs once, at the cover's lambda(f) Kida predicts: a nonzero
+    # coefficient of f mod ell through it certifies mu = 0 and the true
+    # lambda(f) either way; only if f mod ell vanishes that far (mu > 0, or a
+    # larger lambda(f)) is the exact P built
+    expected = ell ** (3 * level) * (base_inv.lam + 1) - 1
+    lam_f = lambda_mod_ell(lifted, expected + 1)
     cover_inv = (iwasawa_invariants(lifted) if lam_f is None
                  else IwasawaData(mu=0, lam=lam_f - 1))
-    expected = ell ** (3 * level) * (base_inv.lam + 1) - 1
     return UniformTowerReport(ell=ell, level=level, base=base_inv,
                               cover=cover_inv, lambda_expected=expected,
                               connectedness_certified=(1, *range(2, explicit_m + 1)),

@@ -281,6 +281,22 @@ def test_uniform_tower_check_five_level_one():
     assert report.ok
 
 
+@pytest.mark.parametrize("ell, cap", [(3, 54), (5, 250)])
+def test_uniform_tower_check_runs_the_kernel_at_kidas_cap(ell, cap, monkeypatch):
+    # one elimination at Kida's lambda(f_Y) = |G_1| lambda(f_X) = 2 ell^3,
+    # which is also the lift's degree bound D: each of its rows spans 2
+    import giwa.iwasawa
+    calls = []
+
+    def recording(t, c):
+        calls.append((c, _degree_bound(_laurent_matrix(t, t.values))[1]))
+        return lambda_mod_ell(t, c)
+
+    monkeypatch.setattr(giwa.iwasawa, "lambda_mod_ell", recording)
+    assert uniform_tower_check(ell, 1).ok
+    assert calls == [(cap, cap)]
+
+
 def test_ex1_along_z9_x_z9_through_the_kernel():
     # ex1 pulled back along Z/9 x Z/9 with ex1's beta: 81 vertices, D = 3240;
     # lambda_Y = 485 = 81 * 6 - 1, certified once the cap reaches 512
