@@ -19,14 +19,14 @@ series, c = psi(beta(s)) in Z[zeta_m], is P_psi / u^K from one Kronecker
 determinant with zeta_m a second variable (cyclotomic_determinant).  The
 factorization identity of a degree-ell cover multiplies the base's P by the
 norm of one P_psi, its ell - 1 conjugates packed into one element
-(kronecker_norm).  The truncated routes read c u^a as c (1+T)^a
-(_series_matrix): voltages known mod ell^P take a Berkowitz determinant over
-(Z/ell^N)[T]/(T^(cap+1)), N = P - ord_ell(cap!), with packed-integer products
+(kronecker_norm).  The truncated routes read c u^a as c (1+T)^a: voltages
+known mod ell^P take a Berkowitz determinant over (Z/ell^N)[T]/(T^(cap+1)),
+N = P - ord_ell(cap!), on lists (_series_matrix) packed into integers
 (series.truncated_determinant) for their series.  Their mu and lambda, and
 those of the covers in uniform_tower_check, come from f mod ell instead:
-elimination over F_ell[T]/(T^(cap+1)) (series.truncated_valuation) certifies
-mu = 0 and lambda(f) once f mod ell has a nonzero coefficient through T^cap,
-with the cap doubled up to what the voltages fix.
+elimination over F_ell[T]/(T^(cap+1)) on a matrix assembled packed
+(lambda_mod_ell) certifies mu = 0 and lambda(f) once f mod ell has a nonzero
+coefficient through T^cap, with the cap doubled up to what the voltages fix.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ from .graphs import (Multigraph, Orientation, bareiss_determinant,
 from .groups import FiniteGroup, cyclic
 from .numtheory import factor_integer, is_prime, ord_int, prime_power_exponent
 from .series import (PadicTruncated, TruncatedPowerSeries, binomial_coefficients,
-                     binomial_digits, binomial_mod_ell, truncated_determinant,
-                     truncated_valuation)
+                     _PackedModEll, binomial_digits, binomial_mod_ell,
+                     truncated_determinant)
 from .voltage import (CoverMap, DerivedGraph, VoltageAssignment, derived_graph,
                       lift_voltages, voltage_assignment, voltage_connectedness)
 
@@ -458,7 +458,8 @@ def _binomial_sum(terms, entry, zero: list) -> list:
 
 
 def _series_matrix(t: Tower, cap: int, entry) -> list:
-    """D - A_rho through T^cap, each entry a list of cap + 1 coefficients.
+    """D - A_rho through T^cap, each entry a list of cap + 1 coefficients,
+    for _padic_characteristic_series only (lambda_mod_ell assembles packed).
 
     Each term c u^a of _laurent_matrix(t, t.values) becomes c times entry(a),
     the coefficients of (1+T)^a for an integer a, computed once per exponent
@@ -491,9 +492,10 @@ def lambda_mod_ell(t: Tower, cap: int) -> int | None:
     Every coefficient of f is ell-integral and F_ell[[T]] is a discrete
     valuation ring, so a nonzero coefficient of f mod ell proves mu = 0, and
     the first one is lambda(f): the T-adic valuation of det(D - A_rho) mod ell
-    (series.truncated_valuation).  The entries (1+T)^a mod ell
-    (series.binomial_mod_ell) need a voltage only mod ell^P for cap < ell^P,
-    so cap >= ell^P for the least voltage precision P is refused.
+    (series.truncated_valuation).  Each (1+T)^a mod ell (series.binomial_mod_ell)
+    is packed once, an entry sums (c mod ell) (1+T)^a over its terms, one
+    reduction a term; a voltage is needed only mod ell^P for cap < ell^P, so
+    cap >= ell^P for the least voltage precision P is refused.
     """
     ell = t.ell
     precision = _voltage_precision(t)
@@ -501,8 +503,15 @@ def lambda_mod_ell(t: Tower, cap: int) -> int | None:
         raise PrecisionError(
             f"voltages known mod {ell}^{precision} fix f mod {ell} only below "
             f"T^{ell ** precision}, not through T^{cap}")
-    return truncated_valuation(
-        _series_matrix(t, cap, lambda a: binomial_mod_ell(a, ell, cap)), ell, cap)
+    packed = _PackedModEll(ell, cap)
+    row = lru_cache(maxsize=None)(lambda a: packed.pack(binomial_mod_ell(a, ell, cap)))
+
+    def entry(terms):
+        out = 0
+        for a, c in terms.items():
+            out = packed.reduce(out + c % ell * row(a), cap + 1)
+        return out
+    return packed.valuation([[entry(terms) for terms in r] for r in _laurent_matrix(t, t.values)])
 
 
 def _doubled_lambda_mod_ell(t: Tower, cap: int, limit: int) -> tuple:

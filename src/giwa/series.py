@@ -9,7 +9,8 @@ coefficient rings, and truncated_determinant over (Z/ell^N)[T]/(T^(cap+1))
 with every series held as a list of residues and multiplied as one packed
 integer.  Over the field F_ell no division-free method is needed:
 truncated_valuation finds the T-adic valuation of a determinant mod
-(ell, T^(cap+1)) by elimination.
+(ell, T^(cap+1)) by elimination, on series packed in bit-granular slots
+(_PackedModEll), a matrix that iwasawa.lambda_mod_ell assembles packed.
 The series (1+T)^a has one kernel, binomial_coefficients; its residues mod
 ell^N (binomial_residues) and mod ell (binomial_mod_ell) are reductions of it.
 """
@@ -448,6 +449,87 @@ def truncated_determinant(matrix: Sequence[Sequence[Sequence[int]]], modulus: in
     return unpack(_berkowitz(M, dot, lambda x: dot([1], [x], negate=True)))
 
 
+class _PackedModEll:
+    """Series over F_ell[T]/(T^(cap+1)), each one integer (Kronecker
+    substitution): coefficient k fills slot k, of `bits` bits, a product is
+    one big-int product, and reduce() takes every slot mod ell at once.
+
+    The slots are bit-granular, sized by what the elimination (valuation)
+    forms: a product cut at T^prec sums at most cap + 1 products of a residue
+    with a slot of the other factor, which is a residue, at most ell in the
+    negated multiplier ell - q, or ell + 1 in slot 0 of the Newton factor
+    2 - w x; with the residue a row update adds, every slot stays below
+    top = (cap + 1) ell (ell - 1) + ell.  Barrett's floor(y m / 2^shift) =
+    floor(y / ell) is exact for y < 2^shift / ell, so shift = bit_length(top
+    ell), m = ceil(2^shift / ell), and bits = bit_length(top m) keeps each
+    slot of y m from carrying.
+    """
+
+    def __init__(self, ell: int, cap: int):
+        self.ell, self.length = ell, cap + 1
+        top = self.length * ell * (ell - 1) + ell
+        self.shift = (top * ell).bit_length()
+        self.m = -(-(1 << self.shift) // ell)
+        self.bits = (top * self.m).bit_length()
+        self.ones = ((1 << self.bits * self.length) - 1) // ((1 << self.bits) - 1)
+        self.quotients = ((1 << self.bits - self.shift) - 1) * self.ones
+
+    def pack(self, residues) -> int:
+        """The series with coefficients residues, each in [0, ell)."""
+        digits = {r: format(r, f"0{self.bits}b") for r in set(residues)}
+        return int("".join(map(digits.__getitem__, reversed(residues))), 2)
+
+    def reduce(self, y: int, prec: int) -> int:
+        """The slots of y below T^prec, each reduced mod ell."""
+        y &= (1 << self.bits * prec) - 1
+        return y - self.ell * ((y * self.m >> self.shift) & self.quotients)
+
+    def inverse(self, w: int, prec: int) -> int:
+        """w^(-1) through T^(prec - 1) for a reduced unit w, by Newton
+        doubling x -> x (2 - w x)."""
+        x = pow(w & (1 << self.bits) - 1, -1, self.ell)
+        known = 1
+        while known < prec:
+            known = min(2 * known, prec)
+            # 2 - w x with every slot kept nonnegative: w x is 1 in slot 0
+            x = self.reduce(x * (self.ell * self.ones + 2 - self.reduce(w * x, known)), known)
+        return x
+
+    def valuation(self, M: list) -> int | None:
+        """truncated_valuation of the square matrix M of reduced packed
+        series, eliminated in place."""
+        ell, bits, shift, m, quotients = self.ell, self.bits, self.shift, self.m, self.quotients
+        n, prec, total = len(M), self.length, 0
+        for k in range(n):
+            column = [(((M[i][k] & -M[i][k]).bit_length() - 1) // bits, i)
+                      for i in range(k, n) if M[i][k]]
+            if not column:
+                return None
+            v = min(column)[0]
+            best = max((i for u, i in column if u == v), key=lambda i: M[i][k + 1:].count(0))
+            M[k], M[best] = M[best], M[k]
+            pivot = M[k]
+            prec -= v
+            if prec <= 0:
+                return None
+            total += v
+            w_inv = self.inverse(pivot[k] >> bits * v, prec)
+            mask = (1 << bits * prec) - 1
+            ells = ell * self.ones & mask
+            used = [(j, pivot[j] & mask) for j in range(k + 1, n) if pivot[j]]
+            # Entries left alone keep slots at and above T^prec; those are never
+            # read: products are cut at prec, and a pivot found only there has
+            # v >= prec, which the check above refuses.
+            for row in M[k + 1:]:
+                if row[k]:
+                    # -(a_ik / T^v) w^(-1) in every slot, as ell - q_j >= 0
+                    neg = ells - self.reduce((row[k] >> bits * v & mask) * w_inv, prec)
+                    for j, p in used:
+                        y = (row[j] + neg * p) & mask      # reduce(), inlined
+                        row[j] = y - ell * ((y * m >> shift) & quotients)
+        return total
+
+
 def truncated_valuation(matrix: Sequence[Sequence[Sequence[int]]], ell: int,
                         cap: int) -> int | None:
     """The T-adic valuation of det(matrix) over F_ell[T]/(T^(cap+1)), or None
@@ -468,80 +550,14 @@ def truncated_valuation(matrix: Sequence[Sequence[Sequence[int]]], ell: int,
     answer: two differ by a unit, so the Schur complements differ by an
     invertible row operation.
 
-    Every series is one packed integer with one slot of `width` bytes per
-    coefficient.  A slot of any product formed sums at most cap + 1 products
-    of residues, below top = (cap + 1) ell^2, so no slot carries into the
-    next; the slots are then reduced mod ell all at once by Barrett's
-    floor(y m / 2^shift) = floor(y / ell), exact for y < 2^shift / ell,
-    with m * top < 2^(8 width) so that no slot of y * m carries either.
+    The entries are reduced and packed one integer each, in bit-granular
+    slots that every sum formed keeps below (cap + 1) ell (ell - 1) + ell
+    (_PackedModEll); iwasawa.lambda_mod_ell assembles its matrix packed.
     """
-    n = len(matrix)
-    length = cap + 1
-    _check_series_matrix(matrix, length)
-    top = length * ell * ell
-    shift = (top * ell).bit_length()
-    m = -(-(1 << shift) // ell)
-    width = (top * m).bit_length() // 8 + 1
-    bits = 8 * width
-    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * length, "little")
-    quotient_mask = ((1 << bits - shift) - 1) * ones
-
-    def reduce(y, prec):
-        """The slots of y below T^prec, each reduced mod ell."""
-        y &= (1 << bits * prec) - 1
-        return y - ell * ((y * m >> shift) & quotient_mask)
-
-    def inverse(w, prec):
-        """w^(-1) through T^(prec - 1) for a reduced unit w, by Newton
-        doubling x -> x (2 - w x)."""
-        x = pow(w & (1 << bits) - 1, -1, ell)
-        known = 1
-        while known < prec:
-            known = min(2 * known, prec)
-            # 2 - w x with every slot kept nonnegative: w x is 1 in slot 0
-            x = reduce(x * (ell * ones + 2 - reduce(w * x, known)), known)
-        return x
-
-    planes = range(((ell - 1).bit_length() + 7) // 8)
-
-    def pack(coeffs):
-        residues = [c % ell for c in coeffs]
-        raw = bytearray(width * length)
-        for b in planes:
-            raw[b::width] = bytes([r >> 8 * b & 255 for r in residues])
-        return int.from_bytes(raw, "little")
-
-    M = [[pack(e) if any(e) else 0 for e in row] for row in matrix]
-    prec = length
-    total = 0
-    for k in range(n):
-        column = [(((M[i][k] & -M[i][k]).bit_length() - 1) // bits, i)
-                  for i in range(k, n) if M[i][k]]
-        if not column:
-            return None
-        v = min(column)[0]
-        best = max((i for u, i in column if u == v), key=lambda i: M[i][k + 1:].count(0))
-        M[k], M[best] = M[best], M[k]
-        pivot = M[k]
-        prec -= v
-        if prec <= 0:
-            return None
-        total += v
-        w_inv = inverse(pivot[k] >> bits * v, prec)
-        mask = (1 << bits * prec) - 1
-        ells = ell * ones & mask
-        used = [(j, pivot[j]) for j in range(k + 1, n) if pivot[j]]
-        # Entries left alone keep slots at and above T^prec; those are never
-        # read: products are cut at prec, and a pivot found only there has
-        # v >= prec, which the check above refuses.
-        for row in M[k + 1:]:
-            if row[k]:
-                # -(a_ik / T^v) w^(-1) in every slot, as ell - q_j >= 0
-                neg = ells - reduce((row[k] >> bits * v) * w_inv, prec)
-                for j, p in used:
-                    y = (row[j] + neg * p) & mask      # reduce(), inlined
-                    row[j] = y - ell * ((y * m >> shift) & quotient_mask)
-    return total
+    _check_series_matrix(matrix, cap + 1)
+    packed = _PackedModEll(ell, cap)
+    return packed.valuation([[packed.pack([c % ell for c in e]) for e in row]
+                             for row in matrix])
 
 
 def cofactor_determinant(matrix: Sequence[Sequence]) -> object:

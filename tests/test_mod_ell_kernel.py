@@ -16,10 +16,10 @@ from giwa import (IwasawaData, PadicTruncated, PrecisionError, Tower, bouquet,
                   tower, tower_level, uniform_tower_check, voltage_assignment,
                   voltage_connectedness)
 from giwa.iwasawa import (LaurentDeterminant, _certified_pullback, _degree_bound,
-                          _doubled_lambda_mod_ell, _laurent_matrix, _tower_p,
-                          lambda_mod_ell)
+                          _doubled_lambda_mod_ell, _laurent_matrix, _series_matrix,
+                          _tower_p, lambda_mod_ell)
 from giwa.numtheory import ord_int
-from giwa.series import (binomial_coefficients, binomial_mod_ell,
+from giwa.series import (_PackedModEll, binomial_coefficients, binomial_mod_ell,
                          truncated_determinant, truncated_valuation)
 
 SETTINGS = settings(max_examples=100, deadline=None,
@@ -82,6 +82,37 @@ def test_kernel_matches_exact_laurent(t, cap):
     assert lambda_mod_ell(t, degree_bound(t)) == lam_f
 
 
+@st.composite
+def partly_truncated_towers(draw):
+    """(tower, cap): a tower of towers() with some voltages replaced by
+    PadicTruncated residues of their own value, at a precision that may
+    leave the cap unfixed."""
+    t = draw(towers())
+    precision = draw(st.integers(1, 8))
+    truncated = {d for d in t.values if draw(st.booleans())}
+    values = {d: PadicTruncated(t.ell, precision, v) if d in truncated else v
+              for d, v in t.values.items()}
+    t = Tower(graph=t.graph, orientation=t.orientation, ell=t.ell, values=values)
+    return t, draw(st.integers(0, 128))
+
+
+@SETTINGS
+@given(partly_truncated_towers())
+def test_packed_assembly_matches_the_list_route(case):
+    # lambda_mod_ell packs each (1+T)^a mod ell once and sums c row per
+    # entry; the oracle builds D - A_rho as lists (_series_matrix) and packs
+    # them in truncated_valuation
+    t, cap = case
+    precision = min((v.precision for v in t.values.values()
+                     if isinstance(v, PadicTruncated)), default=None)
+    if precision is not None and t.ell ** precision <= cap:
+        with pytest.raises(PrecisionError, match="fix f mod"):
+            lambda_mod_ell(t, cap)
+        return
+    matrix = _series_matrix(t, cap, lambda a: binomial_mod_ell(a, t.ell, cap))
+    assert lambda_mod_ell(t, cap) == truncated_valuation(matrix, t.ell, cap)
+
+
 def test_heavy_pullback_kernels_agree():
     # The heaviest shape the benchmark draws: an 18-vertex Z/3 x Z/3
     # pullback of a 2-vertex base with voltages of 40 to 60.  Its P is the
@@ -138,6 +169,81 @@ def series_matrices(draw):
 @given(series_matrices())
 def test_kernel_matches_berkowitz_mod_ell(case):
     matrix, ell, cap = case
+    det = truncated_determinant(matrix, ell, cap)
+    assert truncated_valuation(matrix, ell, cap) == \
+        next((k for k, c in enumerate(det) if c), None)
+
+
+# ---------------------------------------------------------------------------
+# Slot bound: every slot the elimination forms stays below
+# top = (cap + 1) ell (ell - 1) + ell, and both extremes reach top - 1.
+
+SLOT_PRIMES = (2, 3, 5, 7, 13, 2 ** 31 - 1)
+SLOT_CAPS = (31, 32, 63, 64, 65, 127, 250)
+
+
+def slot_top(ell, cap):
+    return (cap + 1) * ell * (ell - 1) + ell
+
+
+def caps_below_a_power_of_two(ell, bound=250):
+    """The caps up to bound whose top * ell is the last below a power of two."""
+    return [c for c in range(bound)
+            if (slot_top(ell, c) * ell).bit_length() < (slot_top(ell, c + 1) * ell).bit_length()]
+
+
+def slot_caps(ell):
+    return sorted(set(SLOT_CAPS) | set(caps_below_a_power_of_two(ell)[-3:]))
+
+
+def convolve(xs, ys):
+    out = [0] * len(xs)
+    for i, x in enumerate(xs):
+        for j in range(len(xs) - i):
+            out[i + j] += x * ys[j]
+    return out
+
+
+@pytest.mark.parametrize("ell", SLOT_PRIMES)
+def test_extreme_slots_reduce_exactly(ell):
+    for cap in slot_caps(ell):
+        packed, length = _PackedModEll(ell, cap), cap + 1
+        top = slot_top(ell, cap)
+        assert (top * packed.m).bit_length() == packed.bits
+        dense = [ell - 1] * length
+        # a row update row + (ell - q) p with q = 0, and the Newton factor
+        # x (2 - w x) with w x = 1: each slot cap holds exactly top - 1
+        update = [r + y for r, y in zip(dense, convolve([ell] * length, dense))]
+        newton = convolve(dense, [ell + 1] + [ell] * cap)
+        assert update[-1] == newton[-1] == top - 1
+        for series in (update, newton):
+            got = packed.reduce(packed.pack(series), length)
+            assert got == packed.pack([c % ell for c in series])
+
+
+def dense_unit_pivots(rng, ell, cap, n, shift):
+    """An n x n matrix near the slot bound: pivot (ell - 1) + T, whose
+    inverse is ell - 1 in every slot, multipliers 0 in every slot but the
+    first, and residues otherwise mostly ell - 1; the first column is
+    divisible by T^shift."""
+    def dense():
+        return [rng.choice([ell - 1] * 7 + [0, 1, -1]) for _ in range(cap + 1)]
+
+    def times_t(e):
+        return ([0] * shift + e)[:cap + 1]
+
+    pivot = [ell - 1, 1] + [0] * (cap - 1)
+    return [[times_t([c * x for x in pivot])] + [dense() for _ in range(n - 1)]
+            for c in [1] + [rng.choice([ell - 1, ell - 1, 1]) for _ in range(n - 1)]]
+
+
+@pytest.mark.parametrize("ell", SLOT_PRIMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), rng=st.randoms(use_true_random=False))
+def test_dense_worst_case_matrices_match_berkowitz(ell, data, rng):
+    cap = data.draw(st.sampled_from(slot_caps(ell)))
+    matrix = dense_unit_pivots(rng, ell, cap, data.draw(st.integers(1, 4)),
+                               data.draw(st.integers(0, 1)))
     det = truncated_determinant(matrix, ell, cap)
     assert truncated_valuation(matrix, ell, cap) == \
         next((k for k, c in enumerate(det) if c), None)
