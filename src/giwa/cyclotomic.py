@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import UnsupportedError, ValidationError
-from .numtheory import ord_int, prime_divisors, prime_power_exponent
+from .numtheory import ord_int, prime_divisors, prime_power_exponent, square_and_multiply
 
 
 def _poly_trim(c: list) -> list:
@@ -155,14 +155,7 @@ class CyclotomicElement:
     def __pow__(self, n: int):
         if n < 0:
             raise ValidationError("negative powers are not ring operations here")
-        out = CyclotomicElement.from_int(self.m, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return square_and_multiply(self, n, self.from_int(self.m, 1), CyclotomicElement.__mul__)
 
     def __eq__(self, other):
         if isinstance(other, int):

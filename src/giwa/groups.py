@@ -9,10 +9,11 @@ formula-free mechanism is preferable, and are immutable afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .errors import ResourceLimitError, UnsupportedError, ValidationError
-from .numtheory import is_prime
+from .numtheory import is_prime, square_and_multiply
 
 DEFAULT_ENUMERATION_CAP = 200_000
 _CHECK_PAIRS = 4096
@@ -43,25 +44,15 @@ class FiniteGroup:
 
     def power(self, a, n: int):
         if n < 0:
-            return self.power(self._inv(a), -n)
-        out = self.identity
-        while n:
-            if n & 1:
-                out = self._mul(out, a)
-            a = self._mul(a, a)
-            n >>= 1
-        return out
+            a, n = self._inv(a), -n
+        return square_and_multiply(a, n, self.identity, self._mul)
 
     def contains(self, a) -> bool:
-        return a in self._element_set()
+        return a in self._element_set
 
-    def _element_set(self):
-        # cached lazily; frozen dataclass so stash via object.__setattr__
-        got = getattr(self, "_eset", None)
-        if got is None:
-            got = frozenset(self.elements)
-            object.__setattr__(self, "_eset", got)
-        return got
+    @cached_property
+    def _element_set(self) -> frozenset:
+        return frozenset(self.elements)
 
     def abelian_coordinates(self, a) -> tuple:
         """Coordinates of an element w.r.t. the declared cyclic factors."""

@@ -32,7 +32,7 @@ coefficient through T^cap, with the cap doubled up to what the voltages fix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, gcd, isqrt
 from types import MappingProxyType
 from typing import Mapping
@@ -110,6 +110,17 @@ class Tower:
                 f"voltage known mod {self.ell}^{v.precision} cannot be reduced mod {self.ell}^{n}")
         return v.value % mod
 
+    @cached_property
+    def _loop_gcd(self) -> int:
+        signed = {s: v if isinstance(v, int) else v.value for s, v in self.values.items()}
+        signed.update({self.graph.inv(s): -a for s, a in list(signed.items())})
+        loops = pi1_basis(self.graph, self.graph.vertices[0], self.orientation).loops
+        return gcd(*(sum(signed[d] for d in path) for _s, path in loops))
+
+    @cached_property
+    def _lifts(self) -> list:
+        return []
+
 
 def tower(graph: Multigraph, ell: int, values_by_edge_id: Mapping,
           orientation: Orientation | None = None) -> Tower:
@@ -142,14 +153,7 @@ def _level_order(t: Tower, n: int) -> int:
     connected iff it is ell^n.  A truncated voltage enters by its integer
     representative, which is right for n up to its precision.  The gcd of the
     sums is taken once per tower and kept on the instance."""
-    g = getattr(t, "_loop_gcd", None)
-    if g is None:
-        signed = {s: v if isinstance(v, int) else v.value for s, v in t.values.items()}
-        signed.update({t.graph.inv(s): -a for s, a in list(signed.items())})
-        loops = pi1_basis(t.graph, t.graph.vertices[0], t.orientation).loops
-        g = gcd(*(sum(signed[d] for d in path) for _s, path in loops))
-        object.__setattr__(t, "_loop_gcd", g)
-    return t.ell ** n // gcd(t.ell ** n, g)
+    return t.ell ** n // gcd(t.ell ** n, t._loop_gcd)
 
 
 def _require_level_connected(t: Tower, n: int) -> None:
@@ -415,7 +419,8 @@ def _slot_bits(ent: list) -> int:
 
 
 def _tower_p(t: Tower) -> LaurentDeterminant:
-    """The exact tower's P, built on first use and kept on the instance."""
+    """The exact tower's P, built on first use and kept on the instance: not a
+    cached property, since kappa_ord_sequence must tell a built P from none."""
     got = getattr(t, "_p", None)
     if got is None:
         got = _laurent_determinant(t)
@@ -707,16 +712,12 @@ def lift_tower(t: Tower, p: CoverMap) -> Tower:
     The lift is kept on t and returned again for a cover with the same
     source graph and edge map, so the two share one cached P.
     """
-    lifts = getattr(t, "_lifts", None)
-    if lifts is None:
-        lifts = []
-        object.__setattr__(t, "_lifts", lifts)
-    for source, edge_map, lifted in lifts:
+    for source, edge_map, lifted in t._lifts:
         if edge_map == p.edge_map and source == p.source:
             return lifted
     orientation, values = lift_voltages(p, t.orientation, t.values)
     out = Tower(graph=p.source, orientation=orientation, ell=t.ell, values=values)
-    lifts.append((p.source, p.edge_map, out))
+    t._lifts.append((p.source, p.edge_map, out))
     return out
 
 

@@ -1,6 +1,7 @@
 """Small integer number theory shared by the kernels: deterministic
 Miller-Rabin primality, and valuations, prime powers, factorizations and
-prime divisors by trial division on machine-size inputs."""
+prime divisors by trial division on machine-size inputs.  square_and_multiply
+is the one power loop, behind FiniteGroup.power and ** on Z[zeta] and Poly."""
 
 from __future__ import annotations
 
@@ -33,6 +34,17 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def square_and_multiply(a, n: int, one, mul):
+    """a^n for n >= 0 from the identity one and the product mul(result, square)."""
+    out = one
+    while n:
+        if n & 1:
+            out = mul(out, a)
+        a = mul(a, a)
+        n >>= 1
+    return out
 
 
 def ord_int(n: int, ell: int) -> int | None:

@@ -12,6 +12,7 @@ from typing import Sequence
 
 from .cyclotomic import CyclotomicElement, _poly_divmod_exact, _poly_mul, render_terms
 from .errors import ValidationError
+from .numtheory import square_and_multiply
 
 
 class Poly:
@@ -81,14 +82,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValidationError("negative polynomial powers")
-        out = Poly([1])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return square_and_multiply(self, n, Poly([1]), Poly.__mul__)
 
     def __eq__(self, other):
         o = self._coerce(other)

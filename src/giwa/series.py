@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .cyclotomic import CyclotomicElement, euler_phi, render_terms
 from .errors import PrecisionError, UnsupportedError, ValidationError
-from .numtheory import ord_factorial, ord_int, prime_divisors, prime_power_exponent
+from .numtheory import is_prime, ord_factorial, ord_int, prime_divisors, prime_power_exponent
 
 
 class PadicTruncated:
@@ -401,12 +401,14 @@ def _berkowitz(matrix: Sequence[Sequence], dot, neg) -> object:
     return neg(p[n]) if n % 2 else p[n]
 
 
-def _check_series_matrix(matrix, length: int) -> None:
+def _check_series_matrix(matrix, cap: int) -> None:
+    if cap < 0:
+        raise ValidationError("cap must be >= 0")
     for row in matrix:
         if len(row) != len(matrix):
             raise ValidationError("determinant of a non-square matrix")
-        if any(len(e) != length for e in row):
-            raise ValidationError(f"series entries need {length} coefficients")
+        if any(len(e) != cap + 1 for e in row):
+            raise ValidationError(f"series entries need {cap + 1} coefficients")
 
 
 def truncated_determinant(matrix: Sequence[Sequence[Sequence[int]]], modulus: int,
@@ -415,15 +417,19 @@ def truncated_determinant(matrix: Sequence[Sequence[Sequence[int]]], modulus: in
 
     Each entry is a list of cap + 1 integers, read mod modulus.  The recursion
     is ring_determinant's, _berkowitz, but every series is one packed integer
-    (Kronecker substitution): coefficient k fills slot k, of `width` bytes.  Every sum
-    the recursion forms has at most n products of reduced series, so its
-    coefficients stay below n (cap + 1) (modulus - 1)^2 < 2^(8 width) and no
-    slot carries into the next.  A sum is therefore multiplied and added
-    packed, then unpacked and reduced mod modulus once per output entry.
+    (Kronecker substitution): coefficient k fills slot k, of `width` bytes.
+    Every sum the recursion forms has at most n products of reduced series, so
+    its coefficients stay below n (cap + 1) (modulus - 1)^2 < 2^(8 width) and
+    no slot carries into the next.  A sum is therefore multiplied and added
+    packed, then unpacked and reduced mod modulus once per output entry.  That
+    per-sum unpack and repack is the kernel's cost, not its products, so the
+    slots stay whole bytes: _PackedModEll's bit-granular codec is slower there.
     """
     n = len(matrix)
     length = cap + 1
-    _check_series_matrix(matrix, length)
+    _check_series_matrix(matrix, cap)
+    if modulus < 1:
+        raise ValidationError(f"modulus must be >= 1, got {modulus}")
     if n == 0:
         return [1 % modulus] + [0] * cap
     width = (n * length * (modulus - 1) ** 2).bit_length() // 8 + 1
@@ -554,7 +560,9 @@ def truncated_valuation(matrix: Sequence[Sequence[Sequence[int]]], ell: int,
     slots that every sum formed keeps below (cap + 1) ell (ell - 1) + ell
     (_PackedModEll); iwasawa.lambda_mod_ell assembles its matrix packed.
     """
-    _check_series_matrix(matrix, cap + 1)
+    _check_series_matrix(matrix, cap)
+    if not is_prime(ell):
+        raise ValidationError(f"ell must be a prime, got {ell}")
     packed = _PackedModEll(ell, cap)
     return packed.valuation([[packed.pack([c % ell for c in e]) for e in row]
                              for row in matrix])

@@ -18,6 +18,7 @@ from giwa import (IwasawaData, PadicTruncated, PrecisionError, Tower, bouquet,
 from giwa.iwasawa import (LaurentDeterminant, _certified_pullback, _degree_bound,
                           _doubled_lambda_mod_ell, _laurent_matrix, _series_matrix,
                           _tower_p, lambda_mod_ell)
+from giwa.errors import ValidationError
 from giwa.numtheory import ord_int
 from giwa.series import (_PackedModEll, binomial_coefficients, binomial_mod_ell,
                          truncated_determinant, truncated_valuation)
@@ -293,6 +294,31 @@ class TestExplicitMatrices:
         assert truncated_valuation([[zero, poly(1)], [zero, poly(0, 1)]], 3, 3) is None
         # a column that vanishes only once the one before is cleared
         assert truncated_valuation([[poly(1), poly(2)], [poly(1), poly(2)]], 3, 3) is None
+
+
+@pytest.mark.parametrize("kernel, matrix, modulus, cap, message", [
+    (truncated_determinant, [[[1]]], 0, 0, "modulus must be >= 1, got 0"),
+    (truncated_determinant, [[[1]]], -7, 0, "modulus must be >= 1, got -7"),
+    (truncated_determinant, [], 7, -1, "cap must be >= 0"),
+    (truncated_determinant, [[[1]]], 7, -1, "cap must be >= 0"),
+    (truncated_valuation, [], 3, -1, "cap must be >= 0"),
+    (truncated_valuation, [[[1]]], 3, -1, "cap must be >= 0"),
+    (truncated_valuation, [[[1, 1]]], 4, 1, "ell must be a prime, got 4"),
+    (truncated_valuation, [[[1, 1]]], 6, 1, "ell must be a prime, got 6"),
+    (truncated_valuation, [[[1, 1]]], 1, 1, "ell must be a prime, got 1"),
+    (truncated_valuation, [[[1, 1]]], 0, 1, "ell must be a prime, got 0"),
+    (truncated_valuation, [], -3, 1, "ell must be a prime, got -3"),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_list_kernels_refuse_bad_cap_modulus_and_ell(kernel, matrix, modulus, cap, message):
+    # modulus is truncated_valuation's ell
+    with pytest.raises(ValidationError) as err:
+        kernel(matrix, modulus, cap)
+    assert str(err.value) == message
+
+
+def test_modulus_one_gives_the_zero_ring():
+    assert truncated_determinant([[[5, 1]]], 1, 1) == [0, 0]
+    assert truncated_determinant([], 1, 2) == [0, 0, 0]
 
 
 def test_lucas_entries_match_exact_binomials():
