@@ -270,22 +270,27 @@ class LaurentDeterminant:
         return mult
 
 
+def _reduced_values(t: Tower, n: int | None) -> Mapping:
+    """The tower's voltages, or with n, the voltages reduced into
+    (-ell^n/2, ell^n/2]: the least representatives mod ell^n, which need only
+    the voltages mod ell^n, so truncated voltages have them too."""
+    if n is None:
+        return t.values
+    mod = t.ell ** n
+    values = {}
+    for d in t.orientation:
+        r = t.value_mod(d, n)
+        values[d] = r - mod if 2 * r > mod else r
+    return values
+
+
 def _laurent_determinant(t: Tower, n: int | None = None) -> LaurentDeterminant:
     """P of the tower's voltages, or with n, of the voltages reduced into
-    (-ell^n/2, ell^n/2].  The second gives the same det L(zeta) =
-    P(zeta)/zeta^K at every ell^n-th root of unity, is never of larger
-    degree, and needs only the voltages mod ell^n, so truncated voltages
-    have one too.  P is read off one determinant (see kronecker_determinant).
+    (-ell^n/2, ell^n/2] (_reduced_values).  The second gives the same
+    det L(zeta) = P(zeta)/zeta^K at every ell^n-th root of unity, and is never
+    of larger degree.  P is read off one determinant (see kronecker_determinant).
     """
-    if n is None:
-        values = t.values
-    else:
-        mod = t.ell ** n
-        values = {}
-        for d in t.orientation:
-            r = t.value_mod(d, n)
-            values[d] = r - mod if 2 * r > mod else r
-    coeffs, shift = kronecker_determinant(_laurent_matrix(t, values))
+    coeffs, shift = kronecker_determinant(_laurent_matrix(t, _reduced_values(t, n)))
     return LaurentDeterminant(coeffs=coeffs, shift=shift)
 
 
@@ -521,12 +526,29 @@ def lambda_mod_ell(t: Tower, cap: int) -> int | None:
 
 def _doubled_lambda_mod_ell(t: Tower, cap: int, limit: int) -> tuple:
     """(lambda(f) or None, last cap): lambda_mod_ell with the cap doubled from
-    min(cap, limit) until a certificate or the limit."""
+    min(cap, limit) until a certificate, or until f = 0 mod ell is proven
+    through the limit, which must lie below ell^P for the least voltage
+    precision P.
+
+    Below ell^P, f mod (ell, T^(cap+1)) needs the voltages only mod ell^P, so
+    it is the same truncation of f_r = P_r(1+T) (1+T)^(-K) for the voltages r
+    reduced into (-ell^P/2, ell^P/2] (the tower's own, when exact), and
+    deg P_r <= D, their degree bound (_degree_bound).  Once a cap >= D finds
+    f = 0 mod ell, P_r = 0 mod ell, so every cap through the limit would find
+    0 too: the answer is (None, limit) with no further kernel run.  D is read
+    only after a first None, so a certificate costs no more than the doubling.
+    """
     cap = min(cap, limit)
+    bound = None
     while True:
         lam_f = lambda_mod_ell(t, cap)
         if lam_f is not None or cap >= limit:
             return lam_f, cap
+        if bound is None:
+            values = _reduced_values(t, _voltage_precision(t))
+            bound = _degree_bound(_laurent_matrix(t, values))[1]
+        if cap >= bound:
+            return None, limit
         cap = min(2 * cap, limit)
 
 
@@ -557,10 +579,13 @@ def iwasawa_invariants(t: Tower, cap: int = DEFAULT_CAP,
     lambda of the tower is lambda(f) - 1.  Exact integer voltages give
     certified answers from the finite Laurent form P.  Truncated (or mixed)
     voltages read lambda(f) off f mod ell (lambda_mod_ell), which proves
-    mu = 0; the cap doubles from cap up to max_cap, and below ell^P for the
+    mu = 0; the cap doubles from cap up to min(max_cap, ell^P - 1) for the
     least voltage precision P, beyond which the data fix nothing.  With no
     nonzero coefficient by then, PrecisionError: no finite precision rules
-    out a lift with mu = 0.
+    out a lift with mu = 0.  The search stops once a cap at or above the
+    degree bound D of the reduced voltages finds f = 0 mod ell, which proves
+    it through the whole limit (_doubled_lambda_mod_ell), so the refusal
+    names that limit as its cap.
     """
     if cap < 1:
         raise ValidationError("cap must be >= 1")

@@ -402,13 +402,22 @@ def _berkowitz(matrix: Sequence[Sequence], dot, neg) -> object:
 
 
 def _check_series_matrix(matrix, cap: int) -> None:
+    """ValidationError unless cap is an int >= 0 and matrix a square list of
+    entries, each a sequence of cap + 1 ints."""
+    if not isinstance(cap, int):
+        raise ValidationError(f"cap must be an integer, got {cap!r}")
     if cap < 0:
         raise ValidationError("cap must be >= 0")
+    if not isinstance(matrix, Sequence):
+        raise ValidationError("determinant of a non-square matrix")
     for row in matrix:
-        if len(row) != len(matrix):
+        if not isinstance(row, Sequence) or len(row) != len(matrix):
             raise ValidationError("determinant of a non-square matrix")
-        if any(len(e) != cap + 1 for e in row):
-            raise ValidationError(f"series entries need {cap + 1} coefficients")
+        for e in row:
+            if not isinstance(e, Sequence) or len(e) != cap + 1:
+                raise ValidationError(f"series entries need {cap + 1} coefficients")
+            if not all(isinstance(c, int) for c in e):
+                raise ValidationError("series coefficients must be integers")
 
 
 def truncated_determinant(matrix: Sequence[Sequence[Sequence[int]]], modulus: int,
@@ -425,9 +434,11 @@ def truncated_determinant(matrix: Sequence[Sequence[Sequence[int]]], modulus: in
     per-sum unpack and repack is the kernel's cost, not its products, so the
     slots stay whole bytes: _PackedModEll's bit-granular codec is slower there.
     """
+    _check_series_matrix(matrix, cap)
     n = len(matrix)
     length = cap + 1
-    _check_series_matrix(matrix, cap)
+    if not isinstance(modulus, int):
+        raise ValidationError(f"modulus must be an integer, got {modulus!r}")
     if modulus < 1:
         raise ValidationError(f"modulus must be >= 1, got {modulus}")
     if n == 0:
@@ -561,7 +572,7 @@ def truncated_valuation(matrix: Sequence[Sequence[Sequence[int]]], ell: int,
     (_PackedModEll); iwasawa.lambda_mod_ell assembles its matrix packed.
     """
     _check_series_matrix(matrix, cap)
-    if not is_prime(ell):
+    if not isinstance(ell, int) or not is_prime(ell):
         raise ValidationError(f"ell must be a prime, got {ell}")
     packed = _PackedModEll(ell, cap)
     return packed.valuation([[packed.pack([c % ell for c in e]) for e in row]

@@ -151,6 +151,25 @@ def test_kernel_refuses_positive_mu(ell):
         iwasawa_invariants(truncated)
 
 
+@pytest.mark.parametrize("ell", [2, 3, 5])
+def test_positive_mu_refusal_runs_the_kernel_once(ell, monkeypatch):
+    # f = -ell (u - 1)^2 / u has degree bound D = 2: the first cap, 64, finds
+    # f = 0 mod ell at or above D, which proves it through cap 2048, so the
+    # refusal needs no doubling
+    import giwa.iwasawa
+    kernel, caps = giwa.iwasawa.lambda_mod_ell, []
+
+    def counting(t, cap):
+        caps.append(cap)
+        return kernel(t, cap)
+    monkeypatch.setattr(giwa.iwasawa, "lambda_mod_ell", counting)
+    t = tower(bouquet(ell), ell, {f"s{i}": PadicTruncated(ell, 20, 1) for i in range(1, ell + 1)})
+    with pytest.raises(PrecisionError,
+                       match=r"mu possibly positive .*\(cap 2048, voltage precision 20\)"):
+        iwasawa_invariants(t)
+    assert caps == [64]
+
+
 @st.composite
 def series_matrices(draw):
     """(matrix, ell, cap): entries of random T-adic valuation, many of them
@@ -311,6 +330,21 @@ class TestExplicitMatrices:
 ], ids=lambda v: v.__name__ if callable(v) else None)
 def test_list_kernels_refuse_bad_cap_modulus_and_ell(kernel, matrix, modulus, cap, message):
     # modulus is truncated_valuation's ell
+    with pytest.raises(ValidationError) as err:
+        kernel(matrix, modulus, cap)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("kernel, matrix, modulus, cap, message", [
+    (truncated_valuation, [[5]], 3, 0, "series entries need 1 coefficients"),
+    (truncated_valuation, [[[1, "x"]]], 3, 1, "series coefficients must be integers"),
+    (truncated_valuation, [[[1]]], 3.0, 0, "ell must be a prime, got 3.0"),
+    (truncated_determinant, [[[1]]], 2.5, 0, "modulus must be an integer, got 2.5"),
+    (truncated_determinant, [[[1]]], 7, 0.5, "cap must be an integer, got 0.5"),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_list_kernels_refuse_malformed_input(kernel, matrix, modulus, cap, message):
+    # a non-list entry, a non-integer coefficient, and a float ell, modulus or
+    # cap are refused as input errors, not raised from inside the kernel
     with pytest.raises(ValidationError) as err:
         kernel(matrix, modulus, cap)
     assert str(err.value) == message

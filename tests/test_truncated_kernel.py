@@ -18,7 +18,8 @@ from giwa import (IwasawaData, PadicTruncated, PrecisionError, Tower,
                   derived_graph, iwasawa_invariants, lift_tower, mu_lambda,
                   product, ring_determinant, tower, voltage_assignment,
                   voltage_connectedness)
-from giwa.iwasawa import certify_levels_connected
+from giwa.iwasawa import (MAX_CAP, _degree_bound, _laurent_matrix, _tower_p,
+                          certify_levels_connected, lambda_mod_ell)
 from giwa.numtheory import ord_factorial
 from giwa.refdata import EX1
 from giwa.series import binomial_residues, cofactor_determinant, truncated_determinant
@@ -126,6 +127,62 @@ def test_truncated_route_matches_exact_laurent(data):
         # no finite precision rules out a lift with mu = 0
         with pytest.raises(PrecisionError, match="mu possibly positive"):
             iwasawa_invariants(truncated, cap=cap)
+
+
+def doubled_search(t, cap, max_cap):
+    """The cap search as it ran before the degree-bound stop: lambda_mod_ell
+    at min(cap, limit), doubled until a certificate or the limit
+    min(max_cap, ell^P - 1), then (lambda(f) or None, last cap, P)."""
+    precision = min(v.precision for v in t.values.values() if isinstance(v, PadicTruncated))
+    limit = min(max_cap, t.ell ** precision - 1)
+    cap = min(cap, limit)
+    while True:
+        lam_f = lambda_mod_ell(t, cap)
+        if lam_f is not None or cap >= limit:
+            return lam_f, cap, precision
+        cap = min(2 * cap, limit)
+
+
+# ell loops of voltage 1: mu = 1 and D = 2
+TWO_LOOPS = tower(bouquet(2), 2, {"s1": 1, "s2": 1})
+# a voltage 2 mod 2^2 reduces to 2, so D = 4 lies above the limit 2^2 - 1
+WIDE_LOOPS = tower(bouquet(2), 2, {"s1": 1, "s2": 2})
+
+
+@SETTINGS
+@given(st.data())
+@example(data=Replay(TWO_LOOPS, 2, 2, set(), 1, MAX_CAP))
+@example(data=Replay(TWO_LOOPS, 12, 12, set(), 3, MAX_CAP))
+@example(data=Replay(WIDE_LOOPS, 2, 2, set(), 3, MAX_CAP))
+def test_degree_bound_stop_matches_the_doubled_search(data):
+    t = data.draw(exact_towers(6))
+    assume(certify_levels_connected(t))
+    # precisions from 2 put ell^P - 1 below the degree bound D of the
+    # reduced voltages; a mixed tower keeps some voltages exact
+    truncated = truncate(data.draw, t, 2)
+    exact = data.draw(st.sets(st.sampled_from(sorted(t.values)), max_size=len(t.values) - 1))
+    t = Tower(graph=t.graph, orientation=t.orientation, ell=t.ell,
+              values={d: t.values[d] if d in exact else v for d, v in truncated.values.items()})
+    cap = data.draw(st.integers(1, 128))
+    max_cap = data.draw(st.one_of(st.just(MAX_CAP), st.integers(1, 256)))
+    lam_f, last, precision = doubled_search(t, cap, max_cap)
+    if lam_f is not None:
+        assert iwasawa_invariants(t, cap=cap, max_cap=max_cap) == IwasawaData(0, lam_f - 1)
+    else:
+        with pytest.raises(PrecisionError) as err:
+            iwasawa_invariants(t, cap=cap, max_cap=max_cap)
+        assert str(err.value) == (f"mu possibly positive beyond the working precision "
+                                  f"(cap {last}, voltage precision {precision})")
+
+
+@SETTINGS
+@given(exact_towers(30))
+def test_lambda_f_is_at_most_the_degree_bound(t):
+    # f = P(1+T) (1+T)^(-K) with P mod ell nonzero of degree at most D, so
+    # f mod ell has a nonzero coefficient through T^D
+    ld = _tower_p(t)
+    assume(not ld.is_zero() and ld.mu(t.ell) == 0)
+    assert ld.lambda_f(t.ell) <= _degree_bound(_laurent_matrix(t, t.values))[1]
 
 
 def ex1_pullback_at_precision_40():
