@@ -68,11 +68,17 @@ def render_terms(coeffs, var: str) -> str:
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple:
-    """Integer coefficients of Phi_m, low degree first."""
+    """Integer coefficients of Phi_m, low degree first: for a prime power
+    m = p^k the closed form Phi_p(x^(p^(k-1))), otherwise x^m - 1 divided by
+    every Phi_d with d a proper divisor of m."""
     if m < 1:
         raise ValidationError(f"conductor must be >= 1, got {m}")
     if m == 1:
         return (-1, 1)
+    primes = prime_divisors(m)
+    if len(primes) == 1:
+        step = m // primes[0]
+        return tuple(int(j % step == 0) for j in range(m - step + 1))
     num = [-1] + [0] * (m - 1) + [1]          # x^m - 1
     for d in range(1, m):
         if m % d == 0:

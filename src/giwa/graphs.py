@@ -442,16 +442,16 @@ def count_spanning_trees_bruteforce(graph: Multigraph) -> int:
     return count
 
 
-def _bfs_parent_edges(graph: Multigraph, v0: int, allowed: set | None = None) -> list:
-    """Parent directed edge for each vertex in a breadth-first search from v0,
-    edges taken in declaration order and only undirected ones in allowed
-    (every edge when None)."""
+def _bfs_tree(graph: Multigraph, v0: int, allowed: set | None = None) -> tuple:
+    """(parent directed edge of each vertex, vertices in the order reached) for
+    a breadth-first search from v0, edges taken in declaration order and only
+    undirected ones in allowed (every edge when None); the order holds only
+    the vertices of v0's component."""
     parent_edge = [None] * graph.vertex_count
     seen = [False] * graph.vertex_count
     seen[v0] = True
-    queue = [v0]
-    while queue:
-        i = queue.pop(0)
+    order = [v0]
+    for i in order:
         for d in graph.out_edges(i):
             if allowed is not None and (d >> 1) not in allowed:
                 continue
@@ -459,10 +459,33 @@ def _bfs_parent_edges(graph: Multigraph, v0: int, allowed: set | None = None) ->
             if not seen[j]:
                 seen[j] = True
                 parent_edge[j] = d
-                queue.append(j)
-    if not all(seen):
-        raise ValidationError("given edge set is not a spanning tree")
-    return parent_edge
+                order.append(j)
+    return parent_edge, order
+
+
+def cotree_voltages(graph: Multigraph, orientation: Orientation, voltage, multiply,
+                    inverse, identity) -> list:
+    """The voltage of each loop of pi1_basis(graph, graph.vertices[0],
+    orientation), in its order, from one walk over the same tree.
+
+    voltage(d) is the value of any directed edge d in a group given by
+    multiply, inverse and identity.  A potential phi(v) is the voltage of the
+    tree path from the base to v, taken in breadth-first order, and the loop of
+    a non-tree orientation edge s has voltage phi(o(s)) voltage(s) phi(t(s))^-1
+    (Gross and Tucker's T-reduction, Topological Graph Theory, 2.5), with no
+    loop path listed.  DisconnectedError if the graph is not connected.
+    """
+    parent_edge, order = _bfs_tree(graph, 0) if graph.vertex_count else ([], [])
+    if not order or len(order) < graph.vertex_count:
+        raise DisconnectedError("loop voltages need a connected graph")
+    phi = [identity] * graph.vertex_count
+    in_tree = [False] * graph.undirected_edge_count
+    for j in order[1:]:
+        d = parent_edge[j]
+        phi[j] = multiply(phi[graph.origin[d]], voltage(d))
+        in_tree[d >> 1] = True
+    return [multiply(multiply(phi[graph.origin[s]], voltage(s)), inverse(phi[graph.terminus[s]]))
+            for s in orientation if not in_tree[s >> 1]]
 
 
 def pi1_basis(graph: Multigraph, v0: VertexId, orientation: Orientation | None = None,
@@ -485,7 +508,9 @@ def pi1_basis(graph: Multigraph, v0: VertexId, orientation: Orientation | None =
         tree = {graph.edge_index(eid) for eid in tree_edge_ids}
         if len(tree) != graph.vertex_count - 1:
             raise ValidationError("spanning tree must have |V| - 1 edges")
-    parent_edge = _bfs_parent_edges(graph, base, tree)
+    parent_edge, order = _bfs_tree(graph, base, tree)
+    if len(order) != graph.vertex_count:
+        raise ValidationError("given edge set is not a spanning tree")
     tree = {d >> 1 for d in parent_edge if d is not None}
 
     def path_from_base(i: int) -> list:

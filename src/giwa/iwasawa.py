@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import comb, gcd, isqrt
+from operator import add, neg
 from types import MappingProxyType
 from typing import Mapping
 
@@ -41,9 +42,8 @@ from .characters import Character
 from .cyclotomic import CyclotomicElement, _poly_mul, euler_phi
 from .errors import (DisconnectedError, GiwaError, PrecisionError,
                      ResourceLimitError, UnsupportedError, ValidationError)
-from .graphs import (Multigraph, Orientation, bareiss_determinant,
-                     euler_characteristic, is_connected, pi1_basis,
-                     spanning_tree_count)
+from .graphs import (Multigraph, Orientation, bareiss_determinant, cotree_voltages,
+                     euler_characteristic, is_connected, spanning_tree_count)
 from .groups import FiniteGroup, cyclic
 from .numtheory import factor_integer, is_prime, ord_int, prime_power_exponent
 from .series import (PadicTruncated, TruncatedPowerSeries, binomial_coefficients,
@@ -114,8 +114,8 @@ class Tower:
     def _loop_gcd(self) -> int:
         signed = {s: v if isinstance(v, int) else v.value for s, v in self.values.items()}
         signed.update({self.graph.inv(s): -a for s, a in list(signed.items())})
-        loops = pi1_basis(self.graph, self.graph.vertices[0], self.orientation).loops
-        return gcd(*(sum(signed[d] for d in path) for _s, path in loops))
+        return gcd(*cotree_voltages(self.graph, self.orientation, signed.__getitem__,
+                                    add, neg, 0))
 
     @cached_property
     def _lifts(self) -> list:
@@ -149,8 +149,9 @@ def tower_level(t: Tower, n: int) -> DerivedGraph:
 
 def _level_order(t: Tower, n: int) -> int:
     """The order ell^n / gcd(ell^n, sums) of the subgroup of Z/ell^n generated
-    by the voltage sums along the loops of a pi1 basis of the base; level n is
-    connected iff it is ell^n.  A truncated voltage enters by its integer
+    by the voltage sums along the loops of a pi1 basis of the base, read off
+    one potential walk over a spanning tree (graphs.cotree_voltages); level n
+    is connected iff it is ell^n.  A truncated voltage enters by its integer
     representative, which is right for n up to its precision.  The gcd of the
     sums is taken once per tower and kept on the instance."""
     return t.ell ** n // gcd(t.ell ** n, t._loop_gcd)
@@ -238,7 +239,7 @@ class LaurentDeterminant:
     def mu(self, ell: int) -> int:
         if self.is_zero():
             raise ValidationError("mu of the zero series")
-        return min(ord_int(c, ell) for c in self.coeffs if c != 0)
+        return ord_int(gcd(*self.coeffs), ell)
 
     def lambda_f(self, ell: int) -> int:
         """Multiplicity of the root u = 1 of P / ell^mu over F_ell.
@@ -364,12 +365,32 @@ def _kronecker_matrix(ent: list, shifts: list, width: int) -> list:
             for row, s in zip(ent, shifts)]
 
 
+def _digits(q: int, width: int, count: int) -> list:
+    """[d_0, ..., d_(count-1)], the base-2^width digits of q mod 2^(width count):
+    q is split in halves until a part is at most 2048 bits wide or one digit,
+    and each part's digits are shifted and masked off it, O(n log n) in all."""
+    mask = (1 << width) - 1
+
+    def split(q: int, count: int) -> list:
+        if count > 1 and width * count > 2048:
+            h = count // 2
+            return split(q & (1 << width * h) - 1, h) + split(q >> width * h, count - h)
+        return [q >> width * k & mask for k in range(count)]
+
+    return split(q & (1 << width * count) - 1, count)
+
+
 def _signed_digits(q: int, width: int, count: int) -> list:
     """[c_0, ..., c_(count-1)] in [-2^(width-1), 2^(width-1)) with
-    q = sum c_k 2^(width k) mod 2^(width count), read with 2^(width-1) added to each."""
-    n = width * count
-    bits = format((q + int(("1" + "0" * (width - 1)) * count, 2)) & ((1 << n) - 1), f"0{n}b")
-    return [int(bits[k - width:k], 2) - (1 << (width - 1)) for k in range(n, 0, -width)]
+    q = sum c_k 2^(width k) mod 2^(width count): each digit of q at or above
+    2^(width-1), with the carry from below, gives up 2^width to the next."""
+    half, carry = 1 << (width - 1), 0
+    out = _digits(q, width, count)
+    for k, d in enumerate(out):
+        d += carry
+        carry = d >= half
+        out[k] = d - (carry << width)
+    return out
 
 
 def _palindromic_digits(q: int, h: int, width: int, bound: int) -> list:
@@ -389,9 +410,7 @@ def _palindromic_digits(q: int, h: int, width: int, bound: int) -> list:
     """
     mask = (1 << width) - 1
     half = 1 << (width - 1)
-    n = width * (2 * h + 1)
-    bits = format(q & ((1 << n) - 1), f"0{n}b")
-    digits = [int(bits[k - width:k], 2) for k in range(n, 0, -width)]
+    digits = _digits(q, width, 2 * h + 1)
     coeffs = [0] * (2 * h + 1)
     carry, top = 0, q >> width * 2 * h
     for k in range(h + 1):

@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import DisconnectedError, ValidationError
 from .graphs import (Multigraph, Orientation, build_multigraph, components,
-                     is_connected, pi1_basis)
+                     cotree_voltages, is_connected)
 from .groups import FiniteGroup, GroupHom, subgroup_generated
 
 
@@ -137,13 +137,16 @@ def voltage_connectedness(va: VoltageAssignment) -> tuple:
 
     Returns (connected, generated_subgroup): the derived graph is connected
     exactly when the voltages of a basis of loops generate the whole group.
+    The loop voltages come from one potential walk (graphs.cotree_voltages).
     """
-    if not is_connected(va.graph):
-        raise DisconnectedError("voltage connectedness needs a connected base")
-    basis = pi1_basis(va.graph, va.graph.vertices[0], va.orientation)
-    images = [va.path_voltage(path) for _s, path in basis.loops]
-    generated = subgroup_generated(va.group, images)
-    return len(generated) == va.group.order, generated
+    group = va.group
+    try:
+        images = cotree_voltages(va.graph, va.orientation, va.voltage, group.multiply,
+                                 group.inverse, group.identity)
+    except DisconnectedError:
+        raise DisconnectedError("voltage connectedness needs a connected base") from None
+    generated = subgroup_generated(group, images)
+    return len(generated) == group.order, generated
 
 
 def is_cover(f: CoverMap) -> bool:

@@ -206,14 +206,14 @@ class TestTowerLevel:
         inv = iwasawa_invariants(tower(bouquet(2), 2 ** 61 - 1, {"s1": 1, "s2": 2}))
         assert (inv.mu, inv.lam) == (0, 1)
 
-    def test_a_tower_lists_one_pi1_basis(self, monkeypatch):
+    def test_a_tower_walks_its_tree_once(self, monkeypatch):
         calls = []
-        real = giwa.iwasawa.pi1_basis
+        real = giwa.iwasawa.cotree_voltages
 
         def counted(*args):
             calls.append(args)
             return real(*args)
-        monkeypatch.setattr(giwa.iwasawa, "pi1_basis", counted)
+        monkeypatch.setattr(giwa.iwasawa, "cotree_voltages", counted)
         t = ex1_tower()
         assert certify_levels_connected(t)
         inv = iwasawa_invariants(t)

@@ -7,6 +7,7 @@ from giwa import (CyclotomicElement, PadicTruncated, PrecisionError,
                   TruncatedPowerSeries, UnsupportedError, ValidationError,
                   binomial_series, cofactor_determinant, cyclotomic_polynomial,
                   evaluate_at_tpsi, mu_lambda, ring_determinant, t_psi, zeta)
+from giwa.cyclotomic import _poly_divmod_exact
 from giwa.series import binomial_coefficients, ord_int
 
 
@@ -177,6 +178,18 @@ class TestCyclotomic:
         assert cyclotomic_polynomial(3) == (1, 1, 1)
         assert cyclotomic_polynomial(6) == (1, -1, 1)
         assert cyclotomic_polynomial(9) == (1, 0, 0, 1, 0, 0, 1)
+
+    def test_prime_powers_agree_with_the_division(self):
+        # the oracle divides x^m - 1 by every Phi_d, d a proper divisor of m
+        divided = {}
+        for m in range(1, 401):
+            num = [-1] + [0] * (m - 1) + [1]
+            for d in range(1, m):
+                if m % d == 0:
+                    num, rem = _poly_divmod_exact(num, divided[d])
+                    assert not rem
+            divided[m] = num
+            assert cyclotomic_polynomial(m) == tuple(num), m
 
     def test_zeta_cubed_is_one(self):
         z = zeta(3)
