@@ -84,8 +84,7 @@ def cmd_invariants(args) -> int:
     inv = iwasawa_invariants(t, cap=args.cap)
     seq = kappa_ord_sequence(t, levels, factor=args.factor,
                              vertex_cap=vertex_cap())
-    if levels >= 2:
-        inv = with_growth_constant(inv, [row[2] for row in seq], t.ell)
+    inv = with_growth_constant(inv, [row[2] for row in seq], t.ell)
     rows = []
     for n, kappa, ordk, fac in seq:
         row = {"n": n, "vertices": t.graph.vertex_count * t.ell ** n,

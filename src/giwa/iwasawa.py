@@ -69,9 +69,12 @@ class Tower:
     ell^n.  The base must have nonzero Euler characteristic; connectedness
     of the levels is certified separately (see certify_levels_connected).
     Each voltage is an int or a PadicTruncated for the same ell; any other
-    type is refused here, for every entry point at once.
-    The voltages are a read-only copy, since the tower caches its Laurent
-    determinant P and its pullbacks (see _tower_p and lift_tower).
+    type is refused here, for every entry point at once.  Truncated voltages
+    are read here only: _precision is their least precision (None when all
+    are ints), _ints the integer representatives that every matrix route
+    reads, and _p the exact tower's Laurent determinant P.  These, the loop
+    gcd and the pullbacks (lift_tower) are kept on the instance once
+    computed, so the voltages are a read-only copy.
     """
 
     graph: Multigraph
@@ -95,25 +98,36 @@ class Tower:
             if isinstance(v, PadicTruncated) and v.ell != self.ell:
                 raise ValidationError("mixed primes in p-adic arithmetic")
 
+    @cached_property
+    def _precision(self) -> int | None:
+        return min((v.precision for v in self.values.values()
+                    if isinstance(v, PadicTruncated)), default=None)
+
+    @cached_property
+    def _ints(self) -> Mapping:
+        return MappingProxyType({s: v.value if isinstance(v, PadicTruncated) else v
+                                 for s, v in self.values.items()})
+
+    @cached_property
+    def _p(self) -> LaurentDeterminant:
+        return _laurent_determinant(self)
+
     @property
     def exact(self) -> bool:
-        return all(isinstance(v, int) for v in self.values.values())
+        return self._precision is None
 
     def value_mod(self, d: int, n: int) -> int:
         """The voltage of orientation edge d reduced mod ell^n."""
-        v = self.values[d]
-        mod = self.ell ** n
-        if isinstance(v, int):
-            return v % mod
-        if v.precision < n:
+        precision = getattr(self.values[d], "precision", n)
+        if precision < n:
             raise PrecisionError(
-                f"voltage known mod {self.ell}^{v.precision} cannot be reduced mod {self.ell}^{n}")
-        return v.value % mod
+                f"voltage known mod {self.ell}^{precision} cannot be reduced mod {self.ell}^{n}")
+        return self._ints[d] % self.ell ** n
 
     @cached_property
     def _loop_gcd(self) -> int:
-        signed = {s: v if isinstance(v, int) else v.value for s, v in self.values.items()}
-        signed.update({self.graph.inv(s): -a for s, a in list(signed.items())})
+        signed = dict(self._ints)
+        signed.update({self.graph.inv(s): -a for s, a in self._ints.items()})
         return gcd(*cotree_voltages(self.graph, self.orientation, signed.__getitem__,
                                     add, neg, 0))
 
@@ -181,16 +195,17 @@ def _laurent_matrix(t: Tower, values: Mapping, weight=None) -> list:
     Orientation edge s from v_i to v_j adds 1 at (i, i) and at (j, j), and
     subtracts c u^a at (i, j) and c' u^(-a) at (j, i), with a = values[s] and
     (c, c') = weight(s), (1, 1) by default: integer entries for P and the
-    plain series, Z[zeta] ones for a twisted series.  A truncated voltage is
-    read as its integer representative; PadicTruncated itself is no key, as
-    it hashes and compares by the weaker of two precisions.
+    plain series, Z[zeta] ones for a twisted series.  The values are ints: a
+    tower's own are Tower._ints, where a truncated voltage is read as its
+    integer representative (PadicTruncated itself is no key, as it hashes and
+    compares by the weaker of two precisions), or _reduced_values.
     """
     g = t.graph.vertex_count
     ent = [[dict() for _ in range(g)] for _ in range(g)]
     val = [0] * g
     for s in t.orientation:
         i, j = t.graph.origin[s], t.graph.terminus[s]
-        a = values[s] if isinstance(values[s], int) else values[s].value
+        a = values[s]
         c, c_inv = (1, 1) if weight is None else weight(s)
         val[i] += 1
         val[j] += 1
@@ -272,11 +287,11 @@ class LaurentDeterminant:
 
 
 def _reduced_values(t: Tower, n: int | None) -> Mapping:
-    """The tower's voltages, or with n, the voltages reduced into
+    """The tower's integer voltages, or with n, the voltages reduced into
     (-ell^n/2, ell^n/2]: the least representatives mod ell^n, which need only
     the voltages mod ell^n, so truncated voltages have them too."""
     if n is None:
-        return t.values
+        return t._ints
     mod = t.ell ** n
     values = {}
     for d in t.orientation:
@@ -442,16 +457,6 @@ def _slot_bits(ent: list) -> int:
     return isqrt(h2).bit_length() + 2
 
 
-def _tower_p(t: Tower) -> LaurentDeterminant:
-    """The exact tower's P, built on first use and kept on the instance: not a
-    cached property, since kappa_ord_sequence must tell a built P from none."""
-    got = getattr(t, "_p", None)
-    if got is None:
-        got = _laurent_determinant(t)
-        object.__setattr__(t, "_p", got)
-    return got
-
-
 def characteristic_series(t: Tower, cap: int = DEFAULT_CAP) -> TruncatedPowerSeries:
     """f(T) = det(D - A_rho) through degree cap.
 
@@ -462,18 +467,11 @@ def characteristic_series(t: Tower, cap: int = DEFAULT_CAP) -> TruncatedPowerSer
     if cap < 0:
         raise ValidationError("cap must be >= 0")
     if t.exact:
-        ld = _tower_p(t)
+        ld = t._p
         # the constant term of f is P(1), which is det of a Laplacian, hence 0
         assert sum(ld.coeffs) == 0, "characteristic series must vanish at T = 0"
         return ld.series(cap)
     return _padic_characteristic_series(t, cap)
-
-
-def _voltage_precision(t: Tower) -> int | None:
-    """The least precision P of the tower's truncated voltages, None when all
-    are integers."""
-    return min((t.values[s].precision for s in t.orientation
-                if not isinstance(t.values[s], int)), default=None)
 
 
 def _binomial_sum(terms, entry, zero: list) -> list:
@@ -490,14 +488,14 @@ def _series_matrix(t: Tower, cap: int, entry) -> list:
     """D - A_rho through T^cap, each entry a list of cap + 1 coefficients,
     for _padic_characteristic_series only (lambda_mod_ell assembles packed).
 
-    Each term c u^a of _laurent_matrix(t, t.values) becomes c times entry(a),
+    Each term c u^a of _laurent_matrix(t, t._ints) becomes c times entry(a),
     the coefficients of (1+T)^a for an integer a, computed once per exponent
     (_binomial_sum); the entries of D - A_rho that stay zero share one list.
     """
     entry = lru_cache(maxsize=None)(entry)
     zero = [0] * (cap + 1)
     return [[_binomial_sum(terms.items(), entry, zero) for terms in row]
-            for row in _laurent_matrix(t, t.values)]
+            for row in _laurent_matrix(t, t._ints)]
 
 
 def _padic_characteristic_series(t: Tower, cap: int) -> TruncatedPowerSeries:
@@ -508,7 +506,7 @@ def _padic_characteristic_series(t: Tower, cap: int) -> TruncatedPowerSeries:
     is certified mod ell^N.  The coefficients are wrapped as PadicTruncated
     values mod ell^N only on the way out.
     """
-    n = binomial_digits(t.ell, _voltage_precision(t), cap)
+    n = binomial_digits(t.ell, t._precision, cap)
     M = _series_matrix(t, cap, lambda a: binomial_coefficients(a, cap))
     det = truncated_determinant(M, t.ell ** n, cap)
     return TruncatedPowerSeries([PadicTruncated(t.ell, n, c) for c in det])
@@ -527,7 +525,7 @@ def lambda_mod_ell(t: Tower, cap: int) -> int | None:
     cap >= ell^P for the least voltage precision P is refused.
     """
     ell = t.ell
-    precision = _voltage_precision(t)
+    precision = t._precision
     if precision is not None and ell ** precision <= cap:
         raise PrecisionError(
             f"voltages known mod {ell}^{precision} fix f mod {ell} only below "
@@ -540,7 +538,7 @@ def lambda_mod_ell(t: Tower, cap: int) -> int | None:
         for a, c in terms.items():
             out = packed.reduce(out + c % ell * row(a), cap + 1)
         return out
-    return packed.valuation([[entry(terms) for terms in r] for r in _laurent_matrix(t, t.values)])
+    return packed.valuation([[entry(terms) for terms in r] for r in _laurent_matrix(t, t._ints)])
 
 
 def _doubled_lambda_mod_ell(t: Tower, cap: int, limit: int) -> tuple:
@@ -564,8 +562,7 @@ def _doubled_lambda_mod_ell(t: Tower, cap: int, limit: int) -> tuple:
         if lam_f is not None or cap >= limit:
             return lam_f, cap
         if bound is None:
-            values = _reduced_values(t, _voltage_precision(t))
-            bound = _degree_bound(_laurent_matrix(t, values))[1]
+            bound = _degree_bound(_laurent_matrix(t, _reduced_values(t, t._precision)))[1]
         if cap >= bound:
             return None, limit
         cap = min(2 * cap, limit)
@@ -611,9 +608,9 @@ def iwasawa_invariants(t: Tower, cap: int = DEFAULT_CAP,
     if max_cap < 1:
         raise ValidationError("max_cap must be >= 1")
     _require_level_connected(t, 1)
-    precision = _voltage_precision(t)
+    precision = t._precision
     if precision is None:
-        ld = _tower_p(t)
+        ld = t._p
         if ld.is_zero():
             raise ValidationError(
                 "characteristic series is identically zero (degenerate voltage)")
@@ -639,8 +636,8 @@ def kappa_ord_sequence(t: Tower, n_max: int, factor: bool = False,
 
     with det L(zeta) = P(zeta) / zeta^K.  So kappa_n = kappa_(n-1) * N_n / ell,
     where N_n is the norm from Z[zeta_(ell^n)] of P folded mod x^(ell^n) - 1
-    and shifted by K.  P is the tower's cached P when it has one (see
-    _tower_p); otherwise it is the P of the voltages reduced into
+    and shifted by K.  P is the tower's cached P when it has one (Tower._p);
+    otherwise it is the P of the voltages reduced into
     (-ell^n_max/2, ell^n_max/2], which has the same values at the roots of
     unity used and also exists for truncated voltages.  kappa_0 is the
     matrix-tree count of the base.  No level graph is built, but levels
@@ -655,16 +652,15 @@ def kappa_ord_sequence(t: Tower, n_max: int, factor: bool = False,
             raise ResourceLimitError(
                 f"level {n} has {n_vertices} vertices, over the cap {vertex_cap} "
                 f"(set GIWA_VERTEX_CAP to raise)")
-        for d in t.orientation:
-            t.value_mod(d, n)            # PrecisionError past the voltage precision
+        if t._precision is not None and t._precision < n:
+            raise PrecisionError(f"voltage known mod {t.ell}^{t._precision} "
+                                 f"cannot be reduced mod {t.ell}^{n}")
         if n == 1:
             # level 1 connected certifies every level (certify_levels_connected)
             _require_level_connected(t, n)
     kappas = [spanning_tree_count(t.graph)]
     if n_max > 0:
-        ld = getattr(t, "_p", None)
-        if ld is None:
-            ld = _laurent_determinant(t, n_max)
+        ld = t._p if "_p" in vars(t) else _laurent_determinant(t, n_max)
         for n in range(1, n_max + 1):
             kappa, rem = divmod(kappas[-1] * ld.at_root_of_unity(t.ell ** n).norm(), t.ell)
             if rem or kappa <= 0:
@@ -865,7 +861,7 @@ def _twisted_p(t: Tower, va_beta: VoltageAssignment, psi: Character) -> tuple:
         b = va_beta.values[s]
         return psi(b), psi.value_at_inverse(b)
 
-    return cyclotomic_determinant(_laurent_matrix(t, t.values, weight), psi.conductor)
+    return cyclotomic_determinant(_laurent_matrix(t, t._ints, weight), psi.conductor)
 
 
 @dataclass(frozen=True)
@@ -885,15 +881,18 @@ def factorization_check(t: Tower, beta_by_edge_id: Mapping,
     conjugates of one generator psi_1, so the product is P_X N(P_psi_1) /
     u^(K_X + (ell-1) K_psi_1) over the integers: the base's cached P, one
     cyclotomic_determinant and one kronecker_norm, read through cap by one
-    packed Taylor shift.
+    packed Taylor shift.  Truncated voltages are refused once the pullback is
+    certified, before any series is built.
     """
+    if cap < 0:
+        raise ValidationError("cap must be >= 0")
     va_beta = voltage_assignment(t.graph, cyclic(t.ell), beta_by_edge_id, t.orientation)
     lifted = _certified_pullback(t, va_beta)
-    lhs = characteristic_series(lifted, cap)
     if not t.exact:
         raise UnsupportedError("twisted series require exact integer voltages")
+    lhs = characteristic_series(lifted, cap)
     coeffs, shift = _twisted_p(t, va_beta, Character(va_beta.group, (1,), t.ell))
-    p_x = _tower_p(t)
+    p_x = t._p
     rhs = LaurentDeterminant(tuple(_poly_mul(p_x.coeffs, kronecker_norm(coeffs, t.ell))),
                              p_x.shift + (t.ell - 1) * shift).series(cap)
     return FactorizationReport(cap=cap, passed=lhs == rhs, lhs=lhs, rhs=rhs)

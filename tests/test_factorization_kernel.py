@@ -10,6 +10,7 @@ checked against the product of the phi(m) conjugate polynomials.
 """
 
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -179,20 +180,19 @@ class TestRefusals:
         return tower(bouquet(2), 3, {"s1": PadicTruncated(3, 8, 1),
                                      "s2": PadicTruncated(3, 8, 0)})
 
-    def test_truncated_voltages_refused_after_lhs(self, monkeypatch):
-        # the base's P would read the integer representatives: refused
-        # after the lifted tower's own (truncated) series is taken
-        seen = []
-        real = giwa.iwasawa.characteristic_series
-
-        def recording(t, cap):
-            seen.append(t.exact)
-            return real(t, cap)
-
-        monkeypatch.setattr(giwa.iwasawa, "characteristic_series", recording)
-        with pytest.raises(UnsupportedError, match="twisted series require exact integer voltages"):
-            factorization_check(self.truncated_tower(), {"s1": 0, "s2": 1}, cap=8)
-        assert seen == [False]
+    @pytest.mark.parametrize("cap", [10, 30, 60])
+    def test_truncated_voltages_refused_before_any_series(self, cap):
+        # the lift's own series at cap 60 would fail first: voltages known mod
+        # 3^20 leave no digits after ord(60!) = 28
+        t = tower(bouquet(2), 3, {"s1": PadicTruncated(3, 20, 1), "s2": PadicTruncated(3, 20, 0)})
+        with mock.patch.object(giwa.iwasawa, "_laurent_determinant",
+                               wraps=giwa.iwasawa._laurent_determinant) as laurent, \
+                mock.patch.object(giwa.iwasawa, "truncated_determinant",
+                                  wraps=giwa.iwasawa.truncated_determinant) as truncated:
+            with pytest.raises(UnsupportedError,
+                               match="twisted series require exact integer voltages"):
+                factorization_check(t, {"s1": 0, "s2": 1}, cap=cap)
+        assert (laurent.call_count, truncated.call_count) == (0, 0)
 
     @pytest.mark.parametrize("truncated", [False, True])
     def test_negative_cap(self, truncated):

@@ -175,14 +175,15 @@ class TestCli:
         assert err.startswith("error: ord kappa_2..3 lie on no line")
 
     @pytest.mark.parametrize("levels", ["0", "1"])
-    def test_levels_zero_and_one_print_no_nu(self, levels, tmp_path):
+    def test_levels_zero_and_one_print_the_certified_nu(self, levels, tmp_path):
         # B2 at ell = 5 with voltages (1, 0): lambda(f) = 2 < phi(5), so K = 1
-        # and the readout alone would claim nu from level 0
+        # and the series certifies nu from level K - 1 = 0
         spec = {"graph": {"vertices": ["v"], "edges": [["v", "v", "s1"], ["v", "v", "s2"]]},
                 "ell": 5, "alpha": {"s1": 1, "s2": 0}}
         code, out, _err = run_invariants(spec, tmp_path, "--levels", levels)
         payload = json.loads(out)
-        assert (code, payload["fit"], payload["summary"]) == (0, None, "mu=0 lambda=1")
+        assert (code, payload["fit"], payload["summary"]) == (
+            0, {"mu": 0, "lambda": 1, "nu": 0, "n0": 0}, "mu=0 lambda=1 nu=0 (n>=0)")
         assert with_growth_constant(IwasawaData(0, 1), [0], 5) == IwasawaData(0, 1, 0, 0)
 
 

@@ -17,7 +17,7 @@ from giwa import (IwasawaData, PadicTruncated, PrecisionError, Tower, bouquet,
                   voltage_connectedness)
 from giwa.iwasawa import (LaurentDeterminant, _certified_pullback, _degree_bound,
                           _doubled_lambda_mod_ell, _laurent_matrix, _series_matrix,
-                          _tower_p, lambda_mod_ell)
+                          lambda_mod_ell)
 from giwa.errors import ValidationError
 from giwa.numtheory import ord_int
 from giwa.series import (_PackedModEll, binomial_coefficients, binomial_mod_ell,
@@ -67,7 +67,7 @@ def degree_bound(t):
 @SETTINGS
 @given(towers(), st.integers(0, 128))
 def test_kernel_matches_exact_laurent(t, cap):
-    ld = _tower_p(t)
+    ld = t._p
     if ld.is_zero():
         assert lambda_mod_ell(t, degree_bound(t)) is None
         return
@@ -128,7 +128,7 @@ def test_heavy_pullback_kernels_agree():
     assert voltage_connectedness(va)[0]
     t = lift_tower(base, derived_graph(va).projection)
     assert t.graph.vertex_count == 18
-    ld = _tower_p(t)
+    ld = t._p
     # f(0) = P(1) = det of the Laplacian, which is singular
     assert sum(ld.coeffs) == 0
     assert ld.mu(3) == 0

@@ -18,7 +18,7 @@ from giwa import (IwasawaData, PadicTruncated, PrecisionError, Tower,
                   derived_graph, iwasawa_invariants, lift_tower, mu_lambda,
                   product, ring_determinant, tower, voltage_assignment,
                   voltage_connectedness)
-from giwa.iwasawa import (MAX_CAP, _degree_bound, _laurent_matrix, _tower_p,
+from giwa.iwasawa import (MAX_CAP, _degree_bound, _laurent_matrix,
                           certify_levels_connected, lambda_mod_ell)
 from giwa.numtheory import ord_factorial
 from giwa.refdata import EX1
@@ -180,7 +180,7 @@ def test_degree_bound_stop_matches_the_doubled_search(data):
 def test_lambda_f_is_at_most_the_degree_bound(t):
     # f = P(1+T) (1+T)^(-K) with P mod ell nonzero of degree at most D, so
     # f mod ell has a nonzero coefficient through T^D
-    ld = _tower_p(t)
+    ld = t._p
     assume(not ld.is_zero() and ld.mu(t.ell) == 0)
     assert ld.lambda_f(t.ell) <= _degree_bound(_laurent_matrix(t, t.values))[1]
 
