@@ -118,11 +118,14 @@ class Tower:
 
     def value_mod(self, d: int, n: int) -> int:
         """The voltage of orientation edge d reduced mod ell^n."""
-        precision = getattr(self.values[d], "precision", n)
-        if precision < n:
+        self._require_precision(getattr(self.values[d], "precision", None), n)
+        return self._ints[d] % self.ell ** n
+
+    def _require_precision(self, precision: int | None, n: int) -> None:
+        """Refuse to reduce mod ell^n what is known mod ell^precision only."""
+        if precision is not None and precision < n:
             raise PrecisionError(
                 f"voltage known mod {self.ell}^{precision} cannot be reduced mod {self.ell}^{n}")
-        return self._ints[d] % self.ell ** n
 
     @cached_property
     def _loop_gcd(self) -> int:
@@ -652,9 +655,7 @@ def kappa_ord_sequence(t: Tower, n_max: int, factor: bool = False,
             raise ResourceLimitError(
                 f"level {n} has {n_vertices} vertices, over the cap {vertex_cap} "
                 f"(set GIWA_VERTEX_CAP to raise)")
-        if t._precision is not None and t._precision < n:
-            raise PrecisionError(f"voltage known mod {t.ell}^{t._precision} "
-                                 f"cannot be reduced mod {t.ell}^{n}")
+        t._require_precision(t._precision, n)
         if n == 1:
             # level 1 connected certifies every level (certify_levels_connected)
             _require_level_connected(t, n)
@@ -884,10 +885,10 @@ def factorization_check(t: Tower, beta_by_edge_id: Mapping,
     packed Taylor shift.  Truncated voltages are refused once the pullback is
     certified, before any series is built.
     """
-    if cap < 0:
-        raise ValidationError("cap must be >= 0")
     va_beta = voltage_assignment(t.graph, cyclic(t.ell), beta_by_edge_id, t.orientation)
     lifted = _certified_pullback(t, va_beta)
+    if cap < 0:
+        raise ValidationError("cap must be >= 0")
     if not t.exact:
         raise UnsupportedError("twisted series require exact integer voltages")
     lhs = characteristic_series(lifted, cap)

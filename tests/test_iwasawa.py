@@ -635,7 +635,7 @@ class TestUniformTower:
         base = sl2_base_tower()
         for level in (0, 1):
             assert uniform_tower_check(3, level, base=base).ok
-        assert base._p is not None
+        assert "_p" in vars(base)
         with pytest.raises(ValidationError, match="bouquet-of-four"):
             uniform_tower_check(3, 0, base=ex1_tower())
 
